@@ -17,6 +17,7 @@ from aoa_auth import (
     synthesize_observation,
 )
 
+from aoa_auth.estimator import _BLOCK_BYTES
 from oracles import naive_cost
 
 
@@ -212,3 +213,94 @@ class TestEstimateAoa:
             t_hat = coarse.estimate(obs.samples).theta_hat_deg
             brute = fine.angles_deg[int(np.argmin(fine.costs(obs.samples)))]
             assert abs(t_hat - brute) <= 0.05
+
+
+def _dense_costs(grid, ys):
+    # the cost expression as one dense pass over the whole batch
+    safe = np.where(grid.norms2 > 0.0, grid.norms2, 1.0)
+    proj = np.abs(ys @ grid.responses.conj().T) ** 2 / safe[None, :]
+    proj[:, grid.norms2 == 0.0] = 0.0
+    total = np.sum(np.abs(ys) ** 2, axis=1)
+    return total[:, None] - proj
+
+
+def _dense_estimates(grid, ys):
+    # argmin plus parabolic refinement over costs_batch of the whole batch
+    costs = grid.costs_batch(ys)
+    idx = np.argmin(costs, axis=1)
+    theta = grid.angles_deg[idx]
+    rows = np.nonzero((idx > 0) & (idx < costs.shape[1] - 1))[0]
+    ii = idx[rows]
+    cm, c0, cp = costs[rows, ii - 1], costs[rows, ii], costs[rows, ii + 1]
+    denom = cm - 2.0 * c0 + cp
+    ok = denom > 0.0
+    offset = np.zeros(len(rows))
+    offset[ok] = np.clip(0.5 * (cm[ok] - cp[ok]) / denom[ok], -0.5, 0.5)
+    theta[rows] = theta[rows] + offset * grid.step_deg
+    return theta
+
+
+def _frames(grid, n, seed):
+    # a mix of pure-noise frames and noisy model responses at random grid
+    # angles, the grid edges included
+    rng = np.random.default_rng(seed)
+    t = grid.responses.shape[1]
+    ys = 0.1 * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
+    signal = rng.random(n) < 0.7
+    cols = rng.integers(0, len(grid.angles_deg), n)
+    cols[: min(n, 4)] = [0, len(grid.angles_deg) - 1, 0, 1][: min(n, 4)]
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    ys[signal] += phases[signal, None] * grid.responses[cols[signal]]
+    return ys
+
+
+class TestEstimateBatchBlocking:
+    @pytest.fixture(scope="class")
+    def grid(self, setup):
+        return ResponseGrid(*setup[:2])
+
+    @pytest.fixture(scope="class")
+    def block(self, grid):
+        block = _BLOCK_BYTES // (24 * len(grid.angles_deg))
+        assert 2 < block < 150
+        return block
+
+    def test_matches_dense_reference(self, grid, block):
+        sizes = [1, 2, block - 1, block, block + 1, 2 * block + 1, 150, 512, 1000]
+        for n in sizes:
+            ys = _frames(grid, n, seed=n)
+            assert np.array_equal(grid.estimate_batch(ys), _dense_estimates(grid, ys)), n
+
+    def test_sub_batches_join_to_whole(self, grid, block):
+        ys = _frames(grid, 3 * block + 7, seed=21)
+        whole = grid.estimate_batch(ys)
+        for cuts in ([2], [block - 1, block + 2], [3, block + 1, 2 * block + 1]):
+            parts = np.split(ys, cuts)
+            assert all(len(part) >= 2 for part in parts)
+            joined = np.concatenate([grid.estimate_batch(part) for part in parts])
+            assert np.array_equal(joined, whole), cuts
+
+    def test_empty_batch(self, grid):
+        assert grid.estimate_batch(np.empty((0, 17), dtype=complex)).shape == (0,)
+
+
+class TestCostsMatchDenseExpression:
+    def test_default_grid(self, setup):
+        grid = ResponseGrid(*setup[:2])
+        ys = _frames(grid, 37, seed=31)
+        assert np.array_equal(grid.costs_batch(ys), _dense_costs(grid, ys))
+        assert np.array_equal(grid.costs(ys[5]), _dense_costs(grid, ys[5:6])[0])
+
+    def test_zero_norm_columns(self):
+        # the second beam w = [1, -1] is null at broadside, and the zero
+        # first pilot symbol leaves only that beam, so the 0 deg column of
+        # the grid has zero norm and is masked
+        sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
+        grid = ResponseGrid(sched, PilotSequence([0.0, 1.0]))
+        assert np.array_equal(np.flatnonzero(grid.norms2 == 0.0), [1800])
+        rng = np.random.default_rng(32)
+        ys = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+        costs = grid.costs_batch(ys)
+        assert np.array_equal(costs, _dense_costs(grid, ys))
+        assert np.array_equal(costs[:, 1800], np.sum(np.abs(ys) ** 2, axis=1))
+        assert np.array_equal(grid.costs(ys[0]), _dense_costs(grid, ys[:1])[0])
