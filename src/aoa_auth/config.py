@@ -64,8 +64,8 @@ class Scenario:
             raise ConfigError("num_probes must be > 1")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.train_size < 1:
-            raise ConfigError("train_size must be >= 1")
+        if self.train_size < 2:
+            raise ConfigError("train_size must be >= 2")
         if self.test_size < 1:
             raise ConfigError("test_size must be >= 1")
         if self.repetitions < 1:

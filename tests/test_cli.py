@@ -54,6 +54,18 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         assert "num_probse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("train_size", 1), ("solver_tol", 0.0), ("solver_tol", -1e-6),
+         ("max_iters", 0)],
+    )
+    def test_unusable_training_settings_are_config_errors(
+        self, tmp_path, capsys, field, value
+    ):
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = main(["validate-config", "--config", str(tmp_path / "nope.json")])
         assert rc == EXIT_RUNTIME
@@ -95,6 +107,15 @@ class TestSweeps:
             )
             assert rc == EXIT_OK
         assert (out1 / "auth.csv").read_bytes() == (out2 / "auth.csv").read_bytes()
+
+    def test_auth_sweep_single_training_sample_is_config_error(
+        self, tmp_path, capsys
+    ):
+        cfg = write_config(tmp_path, train_size=1)
+        rc = main(["auth-sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--workers", "1"])
+        assert rc == EXIT_CONFIG
+        assert "train_size" in capsys.readouterr().err
 
     def test_rmse_sweep_writes_rows(self, tmp_path):
         cfg = write_config(tmp_path)

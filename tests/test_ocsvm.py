@@ -24,8 +24,14 @@ class TestKernel:
     def test_symmetry_and_broadcast(self):
         x = np.array([0.0, 1.0, -2.0])
         k = kernel(x[:, None], x[None, :], 0.3)
-        assert np.allclose(k, k.T)
+        assert np.array_equal(k, k.T)
         assert np.allclose(np.diag(k), 1.0)
+
+    def test_gram_matrix_exactly_symmetric(self):
+        # train reads rows K[i] where the dual update needs columns K[:, i]
+        x = np.random.default_rng(10).normal(0.0, 3.0, 301)
+        k = kernel(x[:, None], x[None, :], 0.37)
+        assert np.array_equal(k, k.T)
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
@@ -43,12 +49,145 @@ class TestMedianHeuristic:
         x = np.full(50, 0.3)
         assert median_heuristic_gamma(x, 0.0025) == pytest.approx(200.0)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.0, 2.0]),
+            np.array([5.0, -1.5]),
+            np.random.default_rng(11).permutation(np.linspace(-3.0, 7.0, 301)),
+            np.random.default_rng(12).normal(0.0, 0.3, 400),
+            np.repeat(np.random.default_rng(13).normal(0.0, 1.0, 30), 7),
+            np.random.default_rng(14).integers(-2, 3, 120).astype(float),
+        ],
+        ids=["l2", "l2-descending", "shuffled", "normal", "repeated", "integers"],
+    )
+    def test_matches_dense_upper_triangle_bitwise(self, x):
+        assert median_heuristic_gamma(x, 1e-12) == _reference_median_gamma(x, 1e-12)
+
     def test_scale_dependence(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(100)
         g1 = median_heuristic_gamma(x, 0.0)
         g2 = median_heuristic_gamma(3.0 * x, 0.0)
         assert g2 == pytest.approx(g1 / 9.0)
+
+
+def _reference_median_gamma(x, floor_deg2):
+    """The dense l x l formulation of the median heuristic."""
+    d2 = (x[:, None] - x[None, :]) ** 2
+    m = float(np.median(d2[np.triu_indices(len(x), k=1)]))
+    return 1.0 / (2.0 * max(m, floor_deg2))
+
+
+def _reference_train(x, params):
+    """First-order SMO written with per-iteration masks and column reads.
+
+    Returns (support_points, alphas, rho, gamma, degenerate, iterations,
+    violation) and raises OcsvmConvergenceError like ``train``.
+    """
+    l = len(x)
+    if isinstance(params.gamma, str):
+        gamma = _reference_median_gamma(x, params.gamma_floor_deg2)
+    else:
+        gamma = float(params.gamma)
+    k_matrix = kernel(x[:, None], x[None, :], gamma)
+    c = 1.0 / (params.nu * l)
+    alpha = np.zeros(l)
+    n_full = int(params.nu * l)
+    alpha[:n_full] = c
+    if n_full < l:
+        alpha[n_full] = 1.0 - n_full * c
+    grad = k_matrix @ alpha
+
+    converged = False
+    violation = np.inf
+    iterations = 0
+    for iterations in range(params.max_iters):
+        up = alpha < c
+        low = alpha > 0.0
+        if not up.any():
+            converged = True
+            violation = 0.0
+            break
+        i = int(np.flatnonzero(up)[np.argmin(grad[up])])
+        j = int(np.flatnonzero(low)[np.argmax(grad[low])])
+        violation = grad[j] - grad[i]
+        if violation < params.solver_tol:
+            converged = True
+            break
+        quad = k_matrix[i, i] + k_matrix[j, j] - 2.0 * k_matrix[i, j]
+        delta = violation / max(quad, 1e-12)
+        delta = min(delta, c - alpha[i], alpha[j])
+        alpha[i] += delta
+        alpha[j] -= delta
+        grad += delta * (k_matrix[:, i] - k_matrix[:, j])
+    if not converged:
+        raise OcsvmConvergenceError(float(violation), params.max_iters)
+
+    bound_eps = 1e-9 * c
+    margin = (alpha > bound_eps) & (alpha < c - bound_eps)
+    degenerate = not np.any(margin)
+    if degenerate:
+        sv = alpha > bound_eps
+        rho = 0.5 * (float(np.min(grad[sv])) + float(np.max(grad[sv])))
+    else:
+        rho = float(np.mean(grad[margin]))
+    keep = alpha > bound_eps
+    return (x[keep], alpha[keep], rho, gamma, degenerate, iterations,
+            float(violation))
+
+
+def _bitwise_cases():
+    cases = []
+    for l, scale in ((2, 1.0), (3, 1.0), (50, 1.0), (1000, 0.04)):
+        for nu in (0.015, 0.1, 0.5, 1.0):
+            x = np.random.default_rng(12).normal(0.0, scale, l)
+            cases.append(pytest.param(x, OcsvmParams(nu=nu), id=f"l{l}-nu{nu}"))
+    rng = np.random.default_rng(15)
+    cases += [
+        pytest.param(rng.normal(0.0, 1.0, 200), OcsvmParams(nu=0.2, gamma=0.77),
+                     id="explicit-gamma"),
+        # exact duplicates give gradient ties, so first-index selection decides
+        pytest.param(np.repeat(rng.normal(0.0, 1.0, 40), 5), OcsvmParams(nu=0.1),
+                     id="repeated"),
+        pytest.param(rng.integers(-3, 4, 300).astype(float), OcsvmParams(nu=0.05),
+                     id="integers"),
+        pytest.param(np.array([1.0, 1.0]), OcsvmParams(nu=1.0), id="identical-nu1"),
+        pytest.param(np.array([1.0, 1.0]), OcsvmParams(nu=0.5), id="identical"),
+        pytest.param(np.random.default_rng(2).normal(0.0, 0.04, 1000),
+                     OcsvmParams(nu=0.5), id="degenerate-rho"),
+    ]
+    return cases
+
+
+class TestTrainMatchesReferenceLoop:
+    @pytest.mark.parametrize("x, params", _bitwise_cases())
+    def test_bitwise_equal(self, x, params):
+        points, alphas, rho, gamma, degenerate, iterations, violation = (
+            _reference_train(x, params)
+        )
+        m = train(x, params)
+        assert np.array_equal(m.support_points, points)
+        assert np.array_equal(m.alphas, alphas)
+        assert m.rho == rho
+        assert m.gamma == gamma
+        assert m.degenerate_rho == degenerate
+        assert m.iterations == iterations
+        assert m.kkt_violation == violation
+
+    def test_degenerate_case_is_covered(self):
+        x = np.random.default_rng(2).normal(0.0, 0.04, 1000)
+        assert train(x, OcsvmParams(nu=0.5)).degenerate_rho
+
+    def test_convergence_error_matches(self):
+        x = np.random.default_rng(8).normal(0.0, 1.0, 400)
+        params = OcsvmParams(nu=0.5, solver_tol=1e-14, max_iters=3)
+        with pytest.raises(OcsvmConvergenceError) as ref:
+            _reference_train(x, params)
+        with pytest.raises(OcsvmConvergenceError) as exc:
+            train(x, params)
+        assert exc.value.kkt_violation == ref.value.kkt_violation
+        assert str(exc.value) == str(ref.value)
 
 
 class TestTrain:
@@ -146,6 +285,29 @@ class TestTrain:
     def test_rejects_bad_nu(self):
         with pytest.raises(ValueError):
             OcsvmParams(nu=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(solver_tol=0.0),
+            dict(solver_tol=-1e-6),
+            dict(solver_tol=float("nan")),
+            dict(solver_tol=float("inf")),
+            dict(max_iters=0),
+            dict(max_iters=-5),
+        ],
+    )
+    def test_rejects_solver_settings_that_cannot_converge(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            OcsvmParams(**kwargs)
+
+    def test_records_solver_diagnostics(self):
+        x = np.random.default_rng(16).normal(0.0, 1.0, 100)
+        m = train(x, OcsvmParams(nu=0.2))
+        assert m.iterations > 0
+        assert 0.0 <= m.kkt_violation < OcsvmParams().solver_tol
+        m1 = train(x, OcsvmParams(nu=1.0))
+        assert m1.iterations == 0 and m1.kkt_violation == 0.0
 
     def test_gamma_string_must_be_known(self):
         with pytest.raises(ValueError):
