@@ -9,17 +9,10 @@ from .attacks import (
     random_attack,
 )
 from .config import ConfigError, Scenario
-from .estimator import (
-    AoaEstimate,
-    CostCurve,
-    ResponseGrid,
-    cost_curve,
-    estimate_aoa,
-    gain_hat,
-    model_response,
-)
+from .estimator import AoaEstimate, CostCurve, ResponseGrid, gain_hat
 from .harness import (
     derive_trial_rng,
+    eve_pilots,
     run_auth_sweep,
     run_cost_curve_experiment,
     run_rmse_sweep,
@@ -28,13 +21,12 @@ from .metrics import ConfusionCounts, accuracy, p_fa, p_md, rmse
 from .ocsvm import OcsvmModel, OcsvmParams, train
 from .signal_model import (
     ArrayConfig,
-    BeamObservation,
     NodeGeometry,
     PilotSequence,
     ProbeSchedule,
-    beam_gain,
     channel_amplitude,
     noise_variance,
+    received_signal,
     steering_vector,
     synthesize_observation,
 )

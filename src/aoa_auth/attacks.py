@@ -12,7 +12,8 @@ increasing side information:
                  beam gain per probe, so the received signal is (up to scale)
                  identical to the victim's.
 
-Every strategy returns a unit-energy PilotSequence.
+Every strategy returns a unit-energy PilotSequence together with the energy
+scale alpha it applied to meet that constraint.
 """
 
 from __future__ import annotations
@@ -50,19 +51,14 @@ class DegenerateAttackError(ValueError):
 NULL_FLOOR_REL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackContext:
-    """Inputs available to Eve when precoding her pilots.
-
-    ``normalization`` is filled in by the attack constructors with the energy
-    scale alpha applied to meet the unit-energy constraint.
-    """
+    """Inputs available to Eve when precoding her pilots."""
 
     schedule: ProbeSchedule
     alice_pilots: PilotSequence
     target_aoa_deg: float
     eve_aoa_deg: float | None = None
-    normalization: float | None = None
 
 
 def random_attack(t_len: int, rng: np.random.Generator) -> PilotSequence:
@@ -73,9 +69,9 @@ def random_attack(t_len: int, rng: np.random.Generator) -> PilotSequence:
     return PilotSequence(np.exp(1j * phases) / np.sqrt(t_len))
 
 
-def code_based_attack(ctx: AttackContext) -> PilotSequence:
+def code_based_attack(ctx: AttackContext) -> tuple[PilotSequence, float]:
     """Pre-multiply the victim pilot by the verifier's beam gain toward the
-    victim angle, normalized to unit energy.
+    victim angle, normalized to unit energy; returns (pilots, alpha).
 
     The verifier then sees a signal carrying the product of its beam patterns
     toward Eve and toward the victim, creating a second likelihood minimum at
@@ -90,13 +86,12 @@ def code_based_attack(ctx: AttackContext) -> PilotSequence:
             "beam gains toward the target are identically zero; cannot normalize"
         )
     alpha = energy ** -0.5
-    ctx.normalization = alpha
-    return PilotSequence(alpha * raw)
+    return PilotSequence(alpha * raw), alpha
 
 
-def location_based_attack(ctx: AttackContext) -> PilotSequence:
-    """Invert Eve's own beam gain per probe so the verifier receives a scaled
-    copy of the victim's signal.
+def location_based_attack(ctx: AttackContext) -> tuple[PilotSequence, float]:
+    """Invert Eve's own beam gain per probe so the verifier receives the
+    victim's signal scaled by alpha; returns (pilots, alpha).
 
     A probe whose beam is (effectively) null toward Eve but not toward the
     victim would require unbounded power to invert.  The unit-energy limit of
@@ -116,8 +111,7 @@ def location_based_attack(ctx: AttackContext) -> PilotSequence:
     if blowup.any():
         raw = np.zeros(ctx.schedule.num_probes, dtype=complex)
         raw[blowup] = g_target[blowup] * ctx.alice_pilots.symbols[blowup]
-        ctx.normalization = 0.0
-        return PilotSequence(raw / np.sqrt(np.sum(np.abs(raw) ** 2)))
+        return PilotSequence(raw / np.sqrt(np.sum(np.abs(raw) ** 2))), 0.0
     live = ~eve_null
     raw = np.zeros(ctx.schedule.num_probes, dtype=complex)
     raw[live] = (
@@ -129,25 +123,23 @@ def location_based_attack(ctx: AttackContext) -> PilotSequence:
             "beam gains toward the target are identically zero; cannot normalize"
         )
     alpha = energy ** -0.5
-    ctx.normalization = alpha
-    return PilotSequence(alpha * raw)
+    return PilotSequence(alpha * raw), alpha
 
 
 def attack_pilots(
     kind: AttackKind, ctx: AttackContext, rng: np.random.Generator | None = None
-) -> PilotSequence:
-    """Dispatch to the pilot constructor for ``kind``.
+) -> tuple[PilotSequence, float]:
+    """Dispatch to the pilot constructor for ``kind``; returns (pilots, alpha).
 
-    NONE returns the victim's pilot unmodified (the baseline no-attack curve).
+    NONE returns the victim's pilot unmodified (the baseline no-attack curve);
+    alpha is 1 for NONE and RANDOM.
     """
     if kind is AttackKind.NONE:
-        ctx.normalization = 1.0
-        return ctx.alice_pilots
+        return ctx.alice_pilots, 1.0
     if kind is AttackKind.RANDOM:
         if rng is None:
             raise ValueError("random attack requires an RNG")
-        ctx.normalization = 1.0
-        return random_attack(ctx.schedule.num_probes, rng)
+        return random_attack(ctx.schedule.num_probes, rng), 1.0
     if kind is AttackKind.CODE_BASED:
         return code_based_attack(ctx)
     if kind is AttackKind.LOCATION_BASED:

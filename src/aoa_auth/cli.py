@@ -8,16 +8,20 @@ stderr, so outputs stay pipeline-safe.  Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 from . import harness
-from .attacks import AttackContext, AttackKind, attack_pilots
+from .attacks import AttackKind
 from .config import ConfigError, Scenario
 from .estimator import ResponseGrid
 from .metrics import write_metrics_csv
-from .signal_model import NodeGeometry, synthesize_observation
+from .signal_model import (
+    NodeGeometry,
+    noise_variance,
+    received_signal,
+    synthesize_observation,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,24 +132,14 @@ def _cmd_auth_sweep(args) -> int:
 def _cmd_estimate(args) -> int:
     scenario = _load_scenario(args)
     schedule = scenario.schedule()
+    config = scenario.array_config()
     rng = harness.derive_trial_rng(scenario.master_seed, "estimate")
-    ctx = AttackContext(
-        schedule=schedule,
-        alice_pilots=scenario.alice_pilots(),
-        target_aoa_deg=scenario.alice_aoa_deg,
-        eve_aoa_deg=args.theta,
-    )
-    pilots = attack_pilots(AttackKind.from_string(args.attack), ctx, rng)
-    obs = synthesize_observation(
-        schedule,
-        NodeGeometry(args.distance, args.theta),
-        pilots,
-        rng.uniform(0.0, 2.0 * math.pi),
-        scenario.array_config(),
-        rng,
-    )
+    kind = AttackKind.from_string(args.attack)
+    pilots, _ = harness.eve_pilots(scenario, schedule, kind, args.theta, rng)
+    base = received_signal(schedule, NodeGeometry(args.distance, args.theta), pilots, config)
+    y = synthesize_observation(base, noise_variance(config), 1, rng)[0]
     grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
-    estimate = grid.estimate(obs.samples)
+    estimate = grid.estimate(y)
     print(f"theta_hat_deg={estimate.theta_hat_deg!r}")
     print(f"cost_at_min={estimate.cost_at_min!r}")
     return EXIT_OK

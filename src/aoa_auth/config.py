@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 from .attacks import AttackKind
@@ -27,6 +29,17 @@ DEFAULT_EVE_DISTANCES_M = [
     200.0, 250.0, 400.0, 500.0, 750.0, 1000.0, 2000.0,
 ]
 DEFAULT_EVE_AOAS_DEG = [5.0, 20.0, 30.0, 45.0, 60.0]
+
+
+def _float_entries(name: str, values) -> list:
+    """``values`` as a non-empty list of finite floats, so that 45 and 45.0
+    name the same sweep point, hash alike and seed the same streams."""
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"{name} must be a non-empty list of numbers")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ConfigError(f"{name} entries must be finite numbers, got {v!r}")
+    return [float(v) for v in values]
 
 
 @dataclass
@@ -60,6 +73,8 @@ class Scenario:
     grid_step_deg: float = 0.05
 
     def validate(self) -> None:
+        """Raise ConfigError naming the first unusable field; the sweep lists
+        are turned into lists of floats."""
         if self.num_probes <= 1:
             raise ConfigError("num_probes must be > 1")
         if self.trials < 1:
@@ -70,10 +85,8 @@ class Scenario:
             raise ConfigError("test_size must be >= 1")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if not self.eve_distances_m:
-            raise ConfigError("eve_distances_m must be non-empty")
-        if not self.eve_aoas_deg:
-            raise ConfigError("eve_aoas_deg must be non-empty")
+        self.eve_distances_m = _float_entries("eve_distances_m", self.eve_distances_m)
+        self.eve_aoas_deg = _float_entries("eve_aoas_deg", self.eve_aoas_deg)
         if not 0.0 < self.grid_step_deg <= 10.0:
             raise ConfigError("grid_step_deg must lie in (0, 10]")
         try:

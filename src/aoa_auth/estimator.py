@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_model import (
-    BeamObservation,
-    PilotSequence,
-    ProbeSchedule,
-    steering_vector,
-)
+from .signal_model import PilotSequence, ProbeSchedule
 
 DEFAULT_GRID_STEP_DEG = 0.05
 # Bytes of product and cost rows per estimate_batch block (48 rows at 0.05 deg)
@@ -56,20 +51,6 @@ class AoaEstimate:
     gain_hat: complex
 
 
-def _as_symbols(pilots) -> np.ndarray:
-    if isinstance(pilots, PilotSequence):
-        return pilots.symbols
-    return np.asarray(pilots, dtype=complex)
-
-
-def model_response(schedule: ProbeSchedule, theta_deg: float, pilots) -> np.ndarray:
-    """Length-T unit-gain response z_t = (w_t^H a(theta)) s_t."""
-    symbols = _as_symbols(pilots)
-    if len(symbols) != schedule.num_probes:
-        raise ValueError("pilot length does not match schedule length")
-    return schedule.beam_gains(theta_deg) * symbols
-
-
 def gain_hat(z: np.ndarray, y: np.ndarray) -> complex:
     """Least-squares complex gain z^H y / ||z||^2 (0 when z is all-zero)."""
     if z.shape != y.shape:
@@ -96,12 +77,11 @@ class ResponseGrid:
     tractable.
     """
 
-    def __init__(self, schedule: ProbeSchedule, pilots, grid_step_deg: float = DEFAULT_GRID_STEP_DEG):
-        symbols = _as_symbols(pilots)
-        if len(symbols) != schedule.num_probes:
+    def __init__(self, schedule: ProbeSchedule, pilots: PilotSequence, grid_step_deg: float = DEFAULT_GRID_STEP_DEG):
+        if len(pilots) != schedule.num_probes:
             raise ValueError("pilot length does not match schedule length")
         self.schedule = schedule
-        self.symbols = symbols
+        self.symbols = pilots.symbols
         self.grid_step_deg = float(grid_step_deg)
         self.angles_deg = _grid_angles(grid_step_deg)
         n = schedule.num_antennas
@@ -112,7 +92,7 @@ class ResponseGrid:
             * np.outer(np.sin(np.deg2rad(self.angles_deg)), np.arange(1, n + 1))
         )
         # rows z(theta_j) = (w_t^H a(theta_j)) s_t
-        self.responses = (steer @ schedule.combiners.conj().T) * symbols[None, :]
+        self.responses = (steer @ schedule.combiners.conj().T) * self.symbols[None, :]
         self.norms2 = np.sum(np.abs(self.responses) ** 2, axis=1)
         self._safe_norms2 = np.where(self.norms2 > 0.0, self.norms2, 1.0)
         self._zero_norm = self.norms2 == 0.0
@@ -141,38 +121,21 @@ class ResponseGrid:
         total = np.sum(np.abs(ys) ** 2, axis=1)
         return np.subtract(total[:, None], costs, out=costs)
 
-    def _exact_cost_and_gain(self, y: np.ndarray, theta_deg: float):
-        a = steering_vector(theta_deg, self.schedule.num_antennas)
-        z = (self.schedule.combiners.conj() @ a) * self.symbols
-        h = gain_hat(z, y)
-        cost = float(np.sum(np.abs(y - h * z) ** 2))
-        return cost, h
-
     def estimate(self, y: np.ndarray) -> AoaEstimate:
-        """Grid argmin plus one parabolic refinement (lowest angle wins ties)."""
-        costs = self.costs(y)
-        i = int(np.argmin(costs))
-        theta = float(self.angles_deg[i])
-        if 0 < i < len(costs) - 1:
-            cm, c0, cp = costs[i - 1], costs[i], costs[i + 1]
-            denom = cm - 2.0 * c0 + cp
-            if denom > 0.0:
-                offset = float(np.clip(0.5 * (cm - cp) / denom, -0.5, 0.5))
-                theta = float(self.angles_deg[i] + offset * self.step_deg)
-        cost, h = self._exact_cost_and_gain(y, theta)
-        if cost > costs[i]:
-            # refinement must never worsen the fit
-            theta = float(self.angles_deg[i])
-            cost, h = self._exact_cost_and_gain(y, theta)
-        return AoaEstimate(theta, cost, h)
+        """The :meth:`estimate_batch` angle of one frame, with the exact
+        cost and least-squares gain at that angle."""
+        theta = float(self.estimate_batch(y[None, :])[0])
+        z = self.schedule.beam_gains(theta) * self.symbols
+        h = gain_hat(z, y)
+        return AoaEstimate(theta, float(np.sum(np.abs(y - h * z) ** 2)), h)
 
     def estimate_batch(self, ys: np.ndarray) -> np.ndarray:
-        """Refined angle estimates for a batch of observations.
+        """Refined angle estimates for a batch of observations: the grid
+        argmin (lowest angle wins ties) plus one parabolic refinement.
 
-        Returns only the angles; exact per-estimate costs are skipped for
-        throughput.  Identical refinement rule as :meth:`estimate`.  Scored in
-        cache-sized row blocks; a one-row tail joins the block before it, as a
-        one-row product takes BLAS's matrix-vector path and rounds differently.
+        Returns only the angles.  Scored in cache-sized row blocks; a one-row
+        tail joins the block before it, as a one-row product takes BLAS's
+        matrix-vector path and rounds differently.
         """
         n, g = len(ys), len(self.angles_deg)
         block = max(2, _BLOCK_BYTES // (24 * g))
@@ -194,19 +157,3 @@ class ResponseGrid:
             theta[rows] = theta[rows] + offset * self.step_deg
             out[lo:hi] = theta
         return out
-
-
-def cost_curve(
-    obs: BeamObservation, pilots, grid_step_deg: float = DEFAULT_GRID_STEP_DEG
-) -> CostCurve:
-    """Evaluate the ML objective on the uniform grid over [-90, 90]."""
-    grid = ResponseGrid(obs.schedule, pilots, grid_step_deg)
-    return CostCurve(grid.angles_deg, grid.costs(obs.samples))
-
-
-def estimate_aoa(
-    obs: BeamObservation, pilots, grid_step_deg: float = DEFAULT_GRID_STEP_DEG
-) -> AoaEstimate:
-    """Grid search over [-90, 90] plus one parabolic refinement."""
-    grid = ResponseGrid(obs.schedule, pilots, grid_step_deg)
-    return grid.estimate(obs.samples)

@@ -29,8 +29,10 @@ from .estimator import CostCurve, ResponseGrid
 from .metrics import ConfusionCounts, accuracy, p_fa, p_md, rmse
 from .signal_model import (
     NodeGeometry,
-    channel_amplitude,
+    PilotSequence,
+    ProbeSchedule,
     noise_variance,
+    received_signal,
     synthesize_observation,
 )
 
@@ -53,32 +55,23 @@ def derive_trial_rng(master_seed: int, *labels) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def _batch_observations(base_signal, sigma2, count, rng):
-    """``count`` frames of e^{j phi} * base + AWGN; the channel phase is drawn
-    first, then the noise, so stream consumption order is part of the
-    contract."""
-    t = len(base_signal)
-    phases = rng.uniform(0.0, 2.0 * np.pi, count)
-    noise = np.sqrt(sigma2 / 2.0) * (
-        rng.standard_normal((count, t)) + 1j * rng.standard_normal((count, t))
-    )
-    return np.exp(1j * phases)[:, None] * base_signal[None, :] + noise
-
-
 def _simulate_estimates(scenario, grid, geometry, tx_pilots, count, rng):
     """Angle estimates for ``count`` noisy frames from one transmitter."""
     config = scenario.array_config()
-    schedule = grid.schedule
-    amp = np.sqrt(config.tx_power_watts) * channel_amplitude(
-        geometry.distance_m, config.carrier_freq_hz
-    )
-    base = amp * schedule.beam_gains(geometry.aoa_deg) * tx_pilots.symbols
-    ys = _batch_observations(base, noise_variance(config), count, rng)
+    base = received_signal(grid.schedule, geometry, tx_pilots, config)
+    ys = synthesize_observation(base, noise_variance(config), count, rng)
     return grid.estimate_batch(ys)
 
 
-def _eve_pilots(scenario, schedule, eve_aoa_deg, rng=None):
-    kind = scenario.attack_kind()
+def eve_pilots(
+    scenario: Scenario,
+    schedule: ProbeSchedule,
+    kind: AttackKind,
+    eve_aoa_deg: float,
+    rng: np.random.Generator | None = None,
+) -> tuple[PilotSequence, float]:
+    """(pilots, alpha) Eve transmits from ``eve_aoa_deg`` under attack
+    ``kind`` to impersonate the scenario's legitimate node."""
     ctx = AttackContext(
         schedule=schedule,
         alice_pilots=scenario.alice_pilots(),
@@ -101,10 +94,10 @@ def run_cost_curve_experiment(
     scenario.validate()
     schedule = scenario.schedule()
     config = scenario.array_config()
-    alice_pilots = scenario.alice_pilots()
+    sigma2 = noise_variance(config)
     alice_geom = scenario.alice_geometry()
     eve_geom = NodeGeometry(eve_distance_m, eve_aoa_deg)
-    grid = ResponseGrid(schedule, alice_pilots, scenario.grid_step_deg)
+    grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
 
     sources = {
         "alice": (alice_geom, AttackKind.NONE),
@@ -116,16 +109,10 @@ def run_cost_curve_experiment(
     curves = {}
     for name, (geom, kind) in sources.items():
         rng = derive_trial_rng(scenario.master_seed, "cost-curve", name)
-        ctx = AttackContext(
-            schedule=schedule,
-            alice_pilots=alice_pilots,
-            target_aoa_deg=scenario.alice_aoa_deg,
-            eve_aoa_deg=eve_aoa_deg,
-        )
-        tx_pilots = attack_pilots(kind, ctx, rng)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        obs = synthesize_observation(schedule, geom, tx_pilots, phase, config, rng)
-        curves[name] = CostCurve(grid.angles_deg, grid.costs(obs.samples))
+        tx_pilots, _ = eve_pilots(scenario, schedule, kind, eve_aoa_deg, rng)
+        base = received_signal(schedule, geom, tx_pilots, config)
+        y = synthesize_observation(base, sigma2, 1, rng)[0]
+        curves[name] = CostCurve(grid.angles_deg, grid.costs(y))
     return curves
 
 
@@ -147,19 +134,15 @@ def run_rmse_sweep(scenario: Scenario) -> list[dict]:
 
     rows = []
     for theta_e in scenario.eve_aoas_deg:
-        pilots = _eve_pilots(scenario, schedule, theta_e)
-        gains = schedule.beam_gains(theta_e)
+        pilots, _ = eve_pilots(scenario, schedule, kind, theta_e)
         for d_e in scenario.eve_distances_m:
-            amp = np.sqrt(config.tx_power_watts) * channel_amplitude(
-                d_e, config.carrier_freq_hz
-            )
-            base = amp * gains * pilots.symbols
+            base = received_signal(schedule, NodeGeometry(d_e, theta_e), pilots, config)
             ys = np.empty((scenario.trials, schedule.num_probes), dtype=complex)
             for trial in range(scenario.trials):
                 rng = derive_trial_rng(
                     scenario.master_seed, "rmse", scenario.attack, theta_e, d_e, trial
                 )
-                ys[trial] = _batch_observations(base, sigma2, 1, rng)[0]
+                ys[trial] = synthesize_observation(base, sigma2, 1, rng)[0]
             estimates = grid.estimate_batch(ys)
             rows.append(
                 {
@@ -200,10 +183,11 @@ def _auth_repetition(scenario: Scenario, rep: int):
         model.decision(alice_thetas) > 0.0, legitimate=True
     )
 
+    kind = scenario.attack_kind()
     eve_counts = {}
     for theta_e in scenario.eve_aoas_deg:
-        pilots = _eve_pilots(
-            scenario, schedule, theta_e,
+        pilots, _ = eve_pilots(
+            scenario, schedule, kind, theta_e,
             derive_trial_rng(scenario.master_seed, "auth", rep, "attack", theta_e),
         )
         for d_e in scenario.eve_distances_m:

@@ -94,7 +94,7 @@ class OcsvmModel:
     nu: float
     train_size: int
     degenerate_rho: bool = field(default=False, compare=False)
-    # solver diagnostics of the fit; not saved, so a loaded model reads 0
+    # solver diagnostics of the fit
     iterations: int = field(default=0, compare=False)
     kkt_violation: float = field(default=0.0, compare=False)
 
@@ -108,29 +108,6 @@ class OcsvmModel:
         """(accepted, decision_value); an exact zero is rejected."""
         value = float(self.decision(x))
         return value > 0.0, value
-
-    def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(
-                f"{self.gamma!r} {self.rho!r} {self.nu!r} {self.train_size}\n"
-            )
-            for p, a in zip(self.support_points, self.alphas):
-                f.write(f"{float(p)!r} {float(a)!r}\n")
-
-    @classmethod
-    def load(cls, path) -> "OcsvmModel":
-        with open(path) as f:
-            header = f.readline().split()
-            gamma, rho, nu = (float(v) for v in header[:3])
-            train_size = int(header[3])
-            points, alphas = [], []
-            for line in f:
-                p, a = line.split()
-                points.append(float(p))
-                alphas.append(float(a))
-        return cls(
-            np.array(points), np.array(alphas), rho, gamma, nu, train_size
-        )
 
 
 def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:

@@ -6,14 +6,14 @@ Each slot yields one complex sample
 
     y_t = sqrt(P) * h * (w_t^H a(theta)) * s_t + n_t
 
-with h the complex channel gain (free-space amplitude, externally supplied
-phase) and n_t circularly-symmetric AWGN.  All angles at module interfaces
+with h the complex channel gain (free-space amplitude, uniform random phase
+per frame) and n_t circularly-symmetric AWGN.  All angles at module interfaces
 are in degrees; radians appear only inside trigonometric kernels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,13 +71,6 @@ def steering_vector(aoa_deg: float, n_antennas: int) -> np.ndarray:
         raise ValueError("n_antennas must be >= 1")
     n = np.arange(1, n_antennas + 1)
     return np.exp(1j * np.pi * n * np.sin(np.deg2rad(aoa_deg)))
-
-
-def beam_gain(combiner: np.ndarray, aoa_deg: float) -> complex:
-    """Conjugate inner product w^H a(theta) of a combiner with the steering
-    vector toward ``aoa_deg``."""
-    combiner = np.asarray(combiner)
-    return complex(np.vdot(combiner, steering_vector(aoa_deg, combiner.shape[0])))
 
 
 def channel_amplitude(distance_m: float, carrier_freq_hz: float) -> float:
@@ -166,45 +159,33 @@ class PilotSequence:
         return len(self.symbols)
 
 
-@dataclass(frozen=True)
-class BeamObservation:
-    """The length-T received vector for one pilot frame."""
-
-    samples: np.ndarray
-    schedule: ProbeSchedule = field(repr=False)
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
-        object.__setattr__(self, "samples", samples)
-        if samples.shape != (self.schedule.num_probes,):
-            raise ValueError("sample count does not match schedule length")
-
-
-def synthesize_observation(
+def received_signal(
     schedule: ProbeSchedule,
     geometry: NodeGeometry,
     pilots: PilotSequence,
-    channel_phase_rad: float,
     config: ArrayConfig,
-    noise_stream: np.random.Generator | None = None,
-) -> BeamObservation:
-    """Simulate the verifier's received vector for one pilot frame.
-
-    ``channel_phase_rad`` is the phase of the complex channel gain; the
-    harness draws it once per trial.  With ``noise_stream=None`` the output
-    is the noiseless signal.
-    """
+) -> np.ndarray:
+    """Noiseless length-T received vector sqrt(P) * |h| * (w_t^H a(theta)) * s_t
+    for one transmitter, at zero channel phase."""
     if len(pilots) != schedule.num_probes:
         raise ValueError("pilot length does not match schedule length")
     amp = np.sqrt(config.tx_power_watts) * channel_amplitude(
         geometry.distance_m, config.carrier_freq_hz
     )
-    gains = schedule.beam_gains(geometry.aoa_deg)
-    y = amp * np.exp(1j * channel_phase_rad) * gains * pilots.symbols
-    if noise_stream is not None:
-        sigma2 = noise_variance(config)
-        t = schedule.num_probes
-        y = y + np.sqrt(sigma2 / 2.0) * (
-            noise_stream.standard_normal(t) + 1j * noise_stream.standard_normal(t)
-        )
-    return BeamObservation(y, schedule)
+    return amp * schedule.beam_gains(geometry.aoa_deg) * pilots.symbols
+
+
+def synthesize_observation(
+    signal: np.ndarray, noise_var: float, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` received frames e^{j phi} * signal + AWGN, shape (count, T).
+
+    The channel phases are drawn first, then the real and then the imaginary
+    noise, so stream consumption order is part of the contract.
+    """
+    t = len(signal)
+    phases = rng.uniform(0.0, 2.0 * np.pi, count)
+    noise = np.sqrt(noise_var / 2.0) * (
+        rng.standard_normal((count, t)) + 1j * rng.standard_normal((count, t))
+    )
+    return np.exp(1j * phases)[:, None] * signal[None, :] + noise

@@ -20,9 +20,10 @@ from aoa_auth import (
     ProbeSchedule,
     ResponseGrid,
     Scenario,
-    beam_gain,
     channel_amplitude,
     location_based_attack,
+    noise_variance,
+    received_signal,
     run_auth_sweep,
     run_rmse_sweep,
     steering_vector,
@@ -235,14 +236,12 @@ def test_criterion_7_location_attack_identity(report):
     for _ in range(50):
         theta_a, theta_e = rng.uniform(-89.0, 89.0, 2)
         ctx = AttackContext(sched, pilots, theta_a, theta_e)
-        p = location_based_attack(ctx)
-        if ctx.normalization == 0.0:
+        p, alpha = location_based_attack(ctx)
+        if alpha == 0.0:
             continue
-        y = synthesize_observation(
-            sched, NodeGeometry(10.0, theta_e), p, 0.0, cfg
-        ).samples
+        y = received_signal(sched, NodeGeometry(10.0, theta_e), p, cfg)
         amp = np.sqrt(cfg.tx_power_watts) * channel_amplitude(10.0, cfg.carrier_freq_hz)
-        expected = amp * ctx.normalization * sched.beam_gains(theta_a) * pilots.symbols
+        expected = amp * alpha * sched.beam_gains(theta_a) * pilots.symbols
         live = np.abs(sched.beam_gains(theta_e)) ** 2 >= 1e-12 * 16**2
         rel = np.abs(y[live] - expected[live]) / np.maximum(
             np.abs(expected[live]), 1e-300
@@ -254,7 +253,8 @@ def test_criterion_7_location_attack_identity(report):
 
 
 def test_criterion_8_beam_null_algebra(report):
-    g = abs(beam_gain(steering_vector(0.0, 16), 30.0))
+    w = steering_vector(0.0, 16)
+    g = abs(ProbeSchedule(np.zeros(2), np.stack([w, w])).beam_gains(30.0)[0])
     report(8, g < 1e-9, f"|broadside beam gain toward 30 deg| = {g:.2e}")
 
 
@@ -268,16 +268,15 @@ def test_criterion_9_estimator_against_bruteforce(report):
     worst = 0.0
     for _ in range(100):
         theta = rng.uniform(-80.0, 80.0)
-        obs = synthesize_observation(
-            sched, NodeGeometry(10.0, theta), pilots, rng.uniform(0, 2 * np.pi),
-            cfg, rng,
-        )
-        t_hat = coarse.estimate(obs.samples).theta_hat_deg
-        brute = fine.angles_deg[int(np.argmin(fine.costs(obs.samples)))]
+        # the channel phase, then the noise, from the same stream
+        signal = received_signal(sched, NodeGeometry(10.0, theta), pilots, cfg)
+        y = synthesize_observation(signal, noise_variance(cfg), 1, rng)[0]
+        t_hat = coarse.estimate(y).theta_hat_deg
+        brute = fine.angles_deg[int(np.argmin(fine.costs(y)))]
         worst = max(worst, abs(t_hat - brute))
-    clean = synthesize_observation(sched, NodeGeometry(10.0, 0.0), pilots, 0.4, cfg)
-    est = coarse.estimate(clean.samples)
-    energy = float(np.sum(np.abs(clean.samples) ** 2))
+    clean = np.exp(0.4j) * received_signal(sched, NodeGeometry(10.0, 0.0), pilots, cfg)
+    est = coarse.estimate(clean)
+    energy = float(np.sum(np.abs(clean) ** 2))
     rel_min = abs(est.cost_at_min) / energy
     ok = worst <= 0.05 and abs(est.theta_hat_deg) < 1e-6 and rel_min < 1e-12
     report(

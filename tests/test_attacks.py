@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from aoa_auth import (
     code_based_attack,
     location_based_attack,
     random_attack,
-    synthesize_observation,
+    received_signal,
 )
 from aoa_auth.attacks import DegenerateAttackError
 
@@ -58,18 +60,18 @@ class TestCodeBasedAttack:
         aligned = np.stack([sched.combiners[8]] * 2)  # the 0-degree beam twice
         sched2 = ProbeSchedule(np.array([0.0, 0.0]), aligned)
         ctx = AttackContext(sched2, PilotSequence.constant(2), 0.0)
-        p = code_based_attack(ctx)
+        p, alpha = code_based_attack(ctx)
         assert np.allclose(p.symbols, PilotSequence.constant(2).symbols)
-        assert ctx.normalization == pytest.approx(1.0 / (n * 1.0))
+        assert alpha == pytest.approx(1.0 / (n * 1.0))
 
     def test_normalization_matches_bruteforce(self):
         ctx = default_ctx()
-        p = code_based_attack(ctx)
+        p, alpha = code_based_attack(ctx)
         acc = 0.0
         for t, angle in enumerate(ctx.schedule.probe_angles_deg):
             g = naive_beam_gain(list(ctx.schedule.combiners[t]), 0.0)
             acc += abs(g * (1.0 / np.sqrt(17.0))) ** 2
-        assert ctx.normalization == pytest.approx(acc ** -0.5)
+        assert alpha == pytest.approx(acc ** -0.5)
         assert np.sum(np.abs(p.symbols) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_when_all_beams_null(self):
@@ -84,24 +86,22 @@ class TestCodeBasedAttack:
         # noiseless received sample is proportional to the product of the
         # beam gains toward Eve and toward the target
         ctx = default_ctx(eve_aoa=45.0)
-        p = code_based_attack(ctx)
+        p, alpha = code_based_attack(ctx)
         cfg = ArrayConfig()
-        obs = synthesize_observation(
-            ctx.schedule, NodeGeometry(10.0, 45.0), p, 0.0, cfg
-        )
+        y = received_signal(ctx.schedule, NodeGeometry(10.0, 45.0), p, cfg)
         amp = np.sqrt(cfg.tx_power_watts) * channel_amplitude(10.0, cfg.carrier_freq_hz)
         for t in range(17):
             gE = naive_beam_gain(list(ctx.schedule.combiners[t]), 45.0)
             gA = naive_beam_gain(list(ctx.schedule.combiners[t]), 0.0)
-            expected = amp * ctx.normalization * gE * gA / np.sqrt(17.0)
-            assert obs.samples[t] == pytest.approx(expected, abs=1e-18)
+            expected = amp * alpha * gE * gA / np.sqrt(17.0)
+            assert y[t] == pytest.approx(expected, abs=1e-18)
 
 
 class TestLocationBasedAttack:
     def test_collapses_to_identity_when_angles_match(self):
         ctx = default_ctx(eve_aoa=10.0, target=10.0)
-        p = location_based_attack(ctx)
-        assert ctx.normalization == pytest.approx(1.0)
+        p, alpha = location_based_attack(ctx)
+        assert alpha == pytest.approx(1.0)
         assert np.allclose(p.symbols, ctx.alice_pilots.symbols)
 
     def test_null_aligned_attack_fails(self):
@@ -109,31 +109,25 @@ class TestLocationBasedAttack:
         # unit-energy limit parks all power there and the verifier receives
         # nothing
         ctx = default_ctx(eve_aoa=30.0)
-        p = location_based_attack(ctx)
-        assert ctx.normalization == 0.0
+        p, alpha = location_based_attack(ctx)
+        assert alpha == 0.0
         assert np.sum(np.abs(p.symbols) ** 2) == pytest.approx(1.0, abs=1e-12)
-        obs = synthesize_observation(
-            ctx.schedule, NodeGeometry(10.0, 30.0), p, 0.0, ArrayConfig()
-        )
+        geom = NodeGeometry(10.0, 30.0)
+        y = received_signal(ctx.schedule, geom, p, ArrayConfig())
         # received energy is nil compared to an unattacked frame
-        ref = synthesize_observation(
-            ctx.schedule, NodeGeometry(10.0, 30.0), ctx.alice_pilots, 0.0, ArrayConfig()
-        )
-        assert np.sum(np.abs(obs.samples) ** 2) < 1e-20 * np.sum(np.abs(ref.samples) ** 2)
+        ref = received_signal(ctx.schedule, geom, ctx.alice_pilots, ArrayConfig())
+        assert np.sum(np.abs(y) ** 2) < 1e-20 * np.sum(np.abs(ref) ** 2)
 
     def test_received_signal_mimics_victim(self):
         # gain-inversion cancellation: the noiseless frame equals a positive scalar
         # times the victim's noiseless frame
         ctx = default_ctx(eve_aoa=45.0)
-        p = location_based_attack(ctx)
+        p, scale = location_based_attack(ctx)
         cfg = ArrayConfig()
-        y_eve = synthesize_observation(
-            ctx.schedule, NodeGeometry(10.0, 45.0), p, 0.4, cfg
-        ).samples
-        y_alice = synthesize_observation(
-            ctx.schedule, NodeGeometry(10.0, 0.0), ctx.alice_pilots, 0.4, cfg
-        ).samples
-        scale = ctx.normalization
+        y_eve = received_signal(ctx.schedule, NodeGeometry(10.0, 45.0), p, cfg)
+        y_alice = received_signal(
+            ctx.schedule, NodeGeometry(10.0, 0.0), ctx.alice_pilots, cfg
+        )
         assert 0.0 < scale < 1.0
         live = np.abs(ctx.schedule.beam_gains(45.0)) ** 2 >= 1e-12 * 256
         np.testing.assert_allclose(
@@ -149,15 +143,27 @@ class TestLocationBasedAttack:
         for _ in range(25):
             theta_a, theta_e = rng.uniform(-85, 85, 2)
             ctx = default_ctx(eve_aoa=theta_e, target=theta_a)
-            p = location_based_attack(ctx)
+            p, _ = location_based_attack(ctx)
             assert np.sum(np.abs(p.symbols) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDispatch:
     def test_none_returns_victim_pilot(self):
         ctx = default_ctx()
-        p = attack_pilots(AttackKind.NONE, ctx)
+        p, alpha = attack_pilots(AttackKind.NONE, ctx)
         assert p is ctx.alice_pilots
+        assert alpha == 1.0
+
+    def test_alpha_is_returned_and_context_is_frozen(self):
+        ctx = default_ctx(eve_aoa=45.0)
+        rng = np.random.default_rng(3)
+        assert attack_pilots(AttackKind.RANDOM, ctx, rng)[1] == 1.0
+        _, alpha = attack_pilots(AttackKind.LOCATION_BASED, ctx)
+        assert alpha == location_based_attack(ctx)[1] > 0.0
+        _, alpha = attack_pilots(AttackKind.CODE_BASED, ctx)
+        assert alpha == code_based_attack(ctx)[1] > 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.eve_aoa_deg = 10.0
 
     def test_random_requires_rng(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from aoa_auth.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from aoa_auth.config import DEFAULT_EVE_AOAS_DEG, DEFAULT_EVE_DISTANCES_M, Scenario
 
 SMALL = dict(
     eve_aoas_deg=[45.0],
@@ -66,6 +67,36 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eve_distances_m", [10.0, float("nan")]), ("eve_distances_m", [float("inf")]),
+         ("eve_distances_m", []), ("eve_aoas_deg", [True]), ("eve_aoas_deg", ["45"]),
+         ("eve_aoas_deg", 45.0)],
+    )
+    def test_bad_sweep_lists_are_config_errors(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    def test_integer_sweep_entries_hash_as_floats(self):
+        ints = Scenario.from_dict({"eve_aoas_deg": [45], "eve_distances_m": [10, 100]})
+        floats = Scenario.from_dict(
+            {"eve_aoas_deg": [45.0], "eve_distances_m": [10.0, 100.0]}
+        )
+        assert ints.config_hash() == floats.config_hash()
+        assert all(type(v) is float for v in ints.eve_aoas_deg + ints.eve_distances_m)
+
+    def test_default_sweep_lists_unchanged(self):
+        scenario = Scenario()
+        before = scenario.config_hash()
+        scenario.validate()
+        assert scenario.config_hash() == before
+        assert scenario.eve_aoas_deg == DEFAULT_EVE_AOAS_DEG == [5.0, 20.0, 30.0, 45.0, 60.0]
+        assert scenario.eve_distances_m == DEFAULT_EVE_DISTANCES_M == [
+            1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 150.0,
+            200.0, 250.0, 400.0, 500.0, 750.0, 1000.0, 2000.0,
+        ]
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = main(["validate-config", "--config", str(tmp_path / "nope.json")])
         assert rc == EXIT_RUNTIME
@@ -116,6 +147,17 @@ class TestSweeps:
                    "--workers", "1"])
         assert rc == EXIT_CONFIG
         assert "train_size" in capsys.readouterr().err
+
+    def test_integer_sweep_entries_give_the_float_sweep(self, tmp_path):
+        outputs = []
+        for name, aoas, dists in (("i", [45], [10]), ("f", [45.0], [10.0])):
+            cfg = write_config(tmp_path, eve_aoas_deg=aoas, eve_distances_m=dists)
+            out = tmp_path / name
+            rc = main(["auth-sweep", "--config", cfg, "--out", str(out), "--workers", "1"])
+            assert rc == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            outputs.append(((out / "auth.csv").read_bytes(), manifest["config_hash"]))
+        assert outputs[0] == outputs[1]
 
     def test_rmse_sweep_writes_rows(self, tmp_path):
         cfg = write_config(tmp_path)

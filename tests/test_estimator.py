@@ -4,16 +4,16 @@ import pytest
 from aoa_auth import (
     ArrayConfig,
     AttackContext,
+    CostCurve,
     NodeGeometry,
     PilotSequence,
     ProbeSchedule,
     ResponseGrid,
     code_based_attack,
-    cost_curve,
-    estimate_aoa,
     gain_hat,
     location_based_attack,
-    model_response,
+    noise_variance,
+    received_signal,
     synthesize_observation,
 )
 
@@ -30,27 +30,46 @@ def setup():
 
 
 def alice_obs(setup, phase=0.0, rng=None, aoa=0.0, dist=10.0):
+    # noiseless at channel phase ``phase``, or one noisy frame whose phase
+    # and noise are drawn from ``rng``
     sched, pilots, cfg = setup
-    return synthesize_observation(sched, NodeGeometry(dist, aoa), pilots, phase, cfg, rng)
+    signal = received_signal(sched, NodeGeometry(dist, aoa), pilots, cfg)
+    if rng is None:
+        return np.exp(1j * phase) * signal
+    return synthesize_observation(signal, noise_variance(cfg), 1, rng)[0]
+
+
+def cost_curve(setup, y, grid_step_deg=0.05):
+    grid = ResponseGrid(*setup[:2], grid_step_deg)
+    return CostCurve(grid.angles_deg, grid.costs(y))
+
+
+def grid_row(grid, theta_deg):
+    return grid.responses[int(np.argmin(np.abs(grid.angles_deg - theta_deg)))]
 
 
 class TestModelResponse:
+    # the rows of ResponseGrid.responses are the unit-gain model responses
+    # z_t(theta) = (w_t^H a(theta)) s_t
     def test_probe_aligned_entry_magnitude(self, setup):
         sched, pilots, _ = setup
-        z = model_response(sched, 45.0, pilots)
+        z = grid_row(ResponseGrid(sched, pilots), 45.0)
         t45 = list(sched.probe_angles_deg).index(45.0)
         assert abs(z[t45]) == pytest.approx(16.0 / np.sqrt(17.0))
 
     def test_null_entry(self, setup):
         sched, pilots, _ = setup
-        z = model_response(sched, 30.0, pilots)
+        z = grid_row(ResponseGrid(sched, pilots), 30.0)
         t0 = list(sched.probe_angles_deg).index(0.0)
         assert abs(z[t0]) < 1e-12
 
     def test_zero_pilots_give_zero_response(self, setup):
         sched, _, _ = setup
-        z = model_response(sched, 17.0, np.zeros(17))
-        assert np.all(z == 0)
+        symbols = np.zeros(17, dtype=complex)
+        symbols[3] = 1.0
+        grid = ResponseGrid(sched, PilotSequence(symbols))
+        # at every grid angle, 17 deg included
+        assert np.all(np.delete(grid.responses, 3, axis=1) == 0)
 
 
 class TestGainHat:
@@ -89,32 +108,32 @@ class TestGainHat:
 
 class TestCostCurve:
     def test_noiseless_victim_minimum_is_zero_at_truth(self, setup):
-        obs = alice_obs(setup, phase=0.9)
-        curve = cost_curve(obs, setup[1])
+        y = alice_obs(setup, phase=0.9)
+        curve = cost_curve(setup, y)
         i = int(np.argmin(curve.costs))
         assert curve.angles_deg[i] == pytest.approx(0.0, abs=0.05)
-        energy = np.sum(np.abs(obs.samples) ** 2)
+        energy = np.sum(np.abs(y) ** 2)
         assert abs(curve.costs[i]) <= 1e-12 * energy
 
     def test_location_attack_moves_minimum_to_target(self, setup):
         sched, pilots, cfg = setup
         ctx = AttackContext(sched, pilots, 0.0, 45.0)
-        p = location_based_attack(ctx)
-        obs = synthesize_observation(sched, NodeGeometry(10.0, 45.0), p, 0.2, cfg)
-        curve = cost_curve(obs, pilots)
+        p, _ = location_based_attack(ctx)
+        y = np.exp(0.2j) * received_signal(sched, NodeGeometry(10.0, 45.0), p, cfg)
+        curve = cost_curve(setup, y)
         i = int(np.argmin(curve.costs))
         assert abs(curve.angles_deg[i]) <= 0.05
         # the true angle leaves no deep minimum behind
         near_45 = np.abs(curve.angles_deg - 45.0) <= 5.0
-        energy = np.sum(np.abs(obs.samples) ** 2)
+        energy = np.sum(np.abs(y) ** 2)
         assert np.min(curve.costs[near_45]) > 0.5 * energy
 
     def test_code_attack_creates_minima_at_both_angles(self, setup):
         sched, pilots, cfg = setup
         ctx = AttackContext(sched, pilots, 0.0, 45.0)
-        p = code_based_attack(ctx)
-        obs = synthesize_observation(sched, NodeGeometry(10.0, 45.0), p, 0.0, cfg)
-        curve = cost_curve(obs, pilots)
+        p, _ = code_based_attack(ctx)
+        y = received_signal(sched, NodeGeometry(10.0, 45.0), p, cfg)
+        curve = cost_curve(setup, y)
         c = curve.costs
         local = np.flatnonzero((c[1:-1] < c[:-2]) & (c[1:-1] < c[2:])) + 1
         order = local[np.argsort(c[local])]
@@ -129,8 +148,7 @@ class TestCostCurve:
         assert abs(found[1] - 45.0) <= 11.25
 
     def test_csv_round_trip(self, setup, tmp_path):
-        obs = alice_obs(setup)
-        curve = cost_curve(obs, setup[1], grid_step_deg=1.0)
+        curve = cost_curve(setup, alice_obs(setup), grid_step_deg=1.0)
         path = tmp_path / "curve.csv"
         curve.write_csv(path)
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
@@ -139,20 +157,20 @@ class TestCostCurve:
 
     def test_rejects_bad_grid_step(self, setup):
         with pytest.raises(ValueError):
-            cost_curve(alice_obs(setup), setup[1], grid_step_deg=0.0)
+            cost_curve(setup, alice_obs(setup), grid_step_deg=0.0)
 
 
 class TestEstimateAoa:
     def test_noiseless_exact(self, setup):
-        obs = alice_obs(setup, phase=1.1)
-        est = estimate_aoa(obs, setup[1])
+        y = alice_obs(setup, phase=1.1)
+        est = ResponseGrid(*setup[:2]).estimate(y)
         assert est.theta_hat_deg == pytest.approx(0.0, abs=1e-6)
-        assert abs(est.cost_at_min) <= 1e-12 * np.sum(np.abs(obs.samples) ** 2)
+        assert abs(est.cost_at_min) <= 1e-12 * np.sum(np.abs(y) ** 2)
 
     def test_unattacked_eavesdropper_estimates_own_angle(self, setup):
         rng = np.random.default_rng(7)
-        obs = alice_obs(setup, phase=0.3, rng=rng, aoa=45.0)
-        est = estimate_aoa(obs, setup[1])
+        y = alice_obs(setup, rng=rng, aoa=45.0)
+        est = ResponseGrid(*setup[:2]).estimate(y)
         assert est.theta_hat_deg == pytest.approx(45.0, abs=0.1)
 
     def test_noisy_rmse_below_half_degree(self, setup):
@@ -162,8 +180,6 @@ class TestEstimateAoa:
         n = 1000
         amp = np.sqrt(cfg.tx_power_watts) * 9.5427e-4
         base = amp * sched.beam_gains(0.0) * pilots.symbols
-        from aoa_auth.signal_model import noise_variance
-
         sigma2 = noise_variance(cfg)
         ys = np.exp(1j * rng.uniform(0, 2 * np.pi, n))[:, None] * base + np.sqrt(
             sigma2 / 2
@@ -173,23 +189,23 @@ class TestEstimateAoa:
 
     def test_phase_rotation_invariance(self, setup):
         rng = np.random.default_rng(9)
-        obs = alice_obs(setup, phase=0.0, rng=rng)
+        y = alice_obs(setup, rng=rng)
         grid = ResponseGrid(*setup[:2])
-        c1 = grid.costs(obs.samples)
-        c2 = grid.costs(obs.samples * np.exp(1j * 1.234))
+        c1 = grid.costs(y)
+        c2 = grid.costs(y * np.exp(1j * 1.234))
         np.testing.assert_allclose(c1, c2, rtol=1e-10)
 
     def test_positive_scaling_invariance(self, setup):
         rng = np.random.default_rng(10)
-        obs = alice_obs(setup, phase=0.2, rng=rng)
+        y = alice_obs(setup, rng=rng)
         grid = ResponseGrid(*setup[:2])
-        c1 = grid.costs(obs.samples)
-        c2 = grid.costs(3.0 * obs.samples)
+        c1 = grid.costs(y)
+        c2 = grid.costs(3.0 * y)
         np.testing.assert_allclose(c2, 9.0 * c1, rtol=1e-10)
         # refinement is scale-invariant up to floating rounding in the
         # parabola coefficients
-        assert grid.estimate(obs.samples).theta_hat_deg == pytest.approx(
-            grid.estimate(3.0 * obs.samples).theta_hat_deg, abs=1e-9
+        assert grid.estimate(y).theta_hat_deg == pytest.approx(
+            grid.estimate(3.0 * y).theta_hat_deg, abs=1e-9
         )
 
     def test_batch_matches_single(self, setup):
@@ -209,9 +225,9 @@ class TestEstimateAoa:
         fine = ResponseGrid(sched, pilots, 0.005)
         rng = np.random.default_rng(12)
         for _ in range(10):
-            obs = alice_obs(setup, phase=rng.uniform(0, 6.28), rng=rng)
-            t_hat = coarse.estimate(obs.samples).theta_hat_deg
-            brute = fine.angles_deg[int(np.argmin(fine.costs(obs.samples)))]
+            y = alice_obs(setup, rng=rng)
+            t_hat = coarse.estimate(y).theta_hat_deg
+            brute = fine.angles_deg[int(np.argmin(fine.costs(y)))]
             assert abs(t_hat - brute) <= 0.05
 
 
@@ -279,6 +295,23 @@ class TestEstimateBatchBlocking:
             assert all(len(part) >= 2 for part in parts)
             joined = np.concatenate([grid.estimate_batch(part) for part in parts])
             assert np.array_equal(joined, whole), cuts
+
+    def test_single_frame_takes_the_batch_angle(self, grid, setup):
+        sched, pilots, cfg = setup
+        rng = np.random.default_rng(41)
+        frames = [_frames(grid, 1000, seed=42)]
+        for dist in (10.0, 300.0):
+            for theta in rng.uniform(-89.0, 89.0, 250):
+                signal = received_signal(sched, NodeGeometry(dist, theta), pilots, cfg)
+                frames.append(synthesize_observation(signal, noise_variance(cfg), 2, rng))
+        ys = np.concatenate(frames)
+        assert len(ys) == 2000
+        for y in ys:
+            est = grid.estimate(y)
+            assert est.theta_hat_deg == grid.estimate_batch(y[None])[0]
+            z = sched.beam_gains(est.theta_hat_deg) * pilots.symbols
+            cost = naive_cost(list(y), list(z))
+            assert est.cost_at_min == pytest.approx(cost, rel=1e-9, abs=0.0)
 
     def test_empty_batch(self, grid):
         assert grid.estimate_batch(np.empty((0, 17), dtype=complex)).shape == (0,)

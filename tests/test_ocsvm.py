@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aoa_auth import OcsvmModel, OcsvmParams, train
+from aoa_auth import OcsvmParams, train
 from aoa_auth.ocsvm import (
     MEDIAN_HEURISTIC,
     OcsvmConvergenceError,
@@ -314,18 +314,3 @@ class TestTrain:
             OcsvmParams(gamma="mean-heuristic")
         assert OcsvmParams(gamma=MEDIAN_HEURISTIC).gamma == MEDIAN_HEURISTIC
 
-
-class TestSerialization:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(9)
-        x = rng.normal(0.0, 0.01, 300)
-        m = train(x, OcsvmParams())
-        path = tmp_path / "model.txt"
-        m.save(path)
-        m2 = OcsvmModel.load(path)
-        assert np.array_equal(m.support_points, m2.support_points)
-        assert np.array_equal(m.alphas, m2.alphas)
-        assert m2.rho == m.rho and m2.gamma == m.gamma
-        assert m2.nu == m.nu and m2.train_size == m.train_size
-        probe = np.linspace(-1.0, 1.0, 11)
-        assert np.array_equal(m.decision(probe), m2.decision(probe))

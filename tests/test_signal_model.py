@@ -7,14 +7,21 @@ from aoa_auth import (
     NodeGeometry,
     PilotSequence,
     ProbeSchedule,
-    beam_gain,
     channel_amplitude,
     noise_variance,
+    received_signal,
     steering_vector,
     synthesize_observation,
 )
 
 from oracles import naive_beam_gain, naive_steering
+
+
+def beam_gain(combiner, aoa_deg):
+    # w^H a(theta) through ProbeSchedule.beam_gains, on a schedule that
+    # repeats the one combiner
+    sched = ProbeSchedule(np.zeros(2), np.stack([combiner, combiner]))
+    return complex(sched.beam_gains(aoa_deg)[0])
 
 
 class TestSteeringVector:
@@ -150,62 +157,59 @@ class TestSynthesizeObservation:
         self.sched = ProbeSchedule.uniform(17, 16)
         self.pilots = PilotSequence.constant(17)
 
+    def signal(self, geom, pilots=None, cfg=None):
+        return received_signal(
+            self.sched, geom, pilots or self.pilots, cfg or self.cfg
+        )
+
     def test_aligned_noiseless_value(self):
         geom = NodeGeometry(10.0, 0.0)
-        phase = 0.7
-        obs = synthesize_observation(self.sched, geom, self.pilots, phase, self.cfg)
+        y = synthesize_observation(self.signal(geom), 0.0, 1, np.random.default_rng(3))
+        phase = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi)
         amp = np.sqrt(self.cfg.tx_power_watts) * channel_amplitude(10.0, 2.5e9)
         expected = amp * np.exp(1j * phase) * 16.0 / np.sqrt(17.0)
         t0 = list(self.sched.probe_angles_deg).index(0.0)
-        assert obs.samples[t0] == pytest.approx(expected)
+        assert y[0, t0] == pytest.approx(expected)
 
     def test_beam_null_gives_zero_sample(self):
-        geom = NodeGeometry(10.0, 30.0)
-        obs = synthesize_observation(self.sched, geom, self.pilots, 0.0, self.cfg)
+        y = self.signal(NodeGeometry(10.0, 30.0))
         t0 = list(self.sched.probe_angles_deg).index(0.0)
-        assert abs(obs.samples[t0]) < 1e-12
+        assert abs(y[t0]) < 1e-12
 
     def test_zero_power_is_pure_noise(self):
         cfg = ArrayConfig(tx_power_dbm=float("-inf"))
-        rng = np.random.default_rng(0)
-        obs = synthesize_observation(
-            self.sched, NodeGeometry(10.0, 0.0), self.pilots, 0.3, cfg, rng
-        )
-        rng2 = np.random.default_rng(0)
         sigma2 = noise_variance(cfg)
+        signal = self.signal(NodeGeometry(10.0, 0.0), cfg=cfg)
+        y = synthesize_observation(signal, sigma2, 3, np.random.default_rng(0))
+        # the phases are drawn first, then the real and the imaginary noise
+        rng2 = np.random.default_rng(0)
+        rng2.uniform(0.0, 2.0 * np.pi, 3)
         noise = np.sqrt(sigma2 / 2) * (
-            rng2.standard_normal(17) + 1j * rng2.standard_normal(17)
+            rng2.standard_normal((3, 17)) + 1j * rng2.standard_normal((3, 17))
         )
-        assert np.allclose(obs.samples, noise)
+        assert np.allclose(y, noise)
 
     def test_noiseless_linear_in_pilots(self):
         geom = NodeGeometry(25.0, 12.0)
         p1 = PilotSequence.constant(17)
         phases = np.exp(1j * np.linspace(0, 3, 17))
         p2 = PilotSequence(phases / np.sqrt(17.0))
-        y1 = synthesize_observation(self.sched, geom, p1, 0.1, self.cfg).samples
-        y2 = synthesize_observation(self.sched, geom, p2, 0.1, self.cfg).samples
+        y1 = self.signal(geom, p1)
+        y2 = self.signal(geom, p2)
         assert np.allclose(y2, y1 * phases)
 
     def test_empirical_noise_variance(self):
         cfg = ArrayConfig(tx_power_dbm=float("-inf"))
         sched = ProbeSchedule.uniform(2, 16)
         pilots = PilotSequence.constant(2)
-        rng = np.random.default_rng(11)
-        draws = np.concatenate(
-            [
-                synthesize_observation(
-                    sched, NodeGeometry(10.0, 0.0), pilots, 0.0, cfg, rng
-                ).samples
-                for _ in range(60_000)
-            ]
-        )
+        signal = received_signal(sched, NodeGeometry(10.0, 0.0), pilots, cfg)
         sigma2 = noise_variance(cfg)
+        draws = synthesize_observation(signal, sigma2, 60_000, np.random.default_rng(11))
         measured = np.mean(np.abs(draws) ** 2)
         assert measured == pytest.approx(sigma2, rel=0.02)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            synthesize_observation(
-                self.sched, NodeGeometry(10.0, 0.0), PilotSequence.constant(5), 0.0, self.cfg
+            received_signal(
+                self.sched, NodeGeometry(10.0, 0.0), PilotSequence.constant(5), self.cfg
             )
