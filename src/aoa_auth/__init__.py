@@ -15,6 +15,7 @@ from .harness import (
     eve_pilots,
     run_auth_sweep,
     run_cost_curve_experiment,
+    run_estimate,
     run_rmse_sweep,
 )
 from .metrics import ConfusionCounts, accuracy, p_fa, p_md, rmse

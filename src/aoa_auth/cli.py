@@ -14,14 +14,7 @@ import sys
 from . import harness
 from .attacks import AttackKind
 from .config import ConfigError, Scenario
-from .estimator import ResponseGrid
 from .metrics import write_metrics_csv
-from .signal_model import (
-    NodeGeometry,
-    noise_variance,
-    received_signal,
-    synthesize_observation,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -32,26 +25,30 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, out: bool = False) -> None:
     parser.add_argument("--config", metavar="PATH", help="scenario config JSON; defaults reproduce the reference setup")
     parser.add_argument("--seed", type=int, metavar="U64", help="override the master seed")
     parser.add_argument("--trials", type=int, metavar="N", help="override Monte-Carlo trials per sweep point")
     parser.add_argument("--grid-step", type=float, metavar="DEG", help="estimator grid resolution in degrees")
+    if out:
+        parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
+
+
+# argparse dest of an override flag -> the scenario field it sets
+_OVERRIDES = {
+    "seed": "master_seed",
+    "trials": "trials",
+    "grid_step": "grid_step_deg",
+    "attack": "attack",
+}
 
 
 def _load_scenario(args) -> Scenario:
-    if args.config:
-        scenario = Scenario.from_file(args.config)
-    else:
-        scenario = Scenario()
-    if getattr(args, "seed", None) is not None:
-        scenario.master_seed = args.seed
-    if getattr(args, "trials", None) is not None:
-        scenario.trials = args.trials
-    if getattr(args, "grid_step", None) is not None:
-        scenario.grid_step_deg = args.grid_step
-    if getattr(args, "attack", None):
-        scenario.attack = args.attack
+    scenario = Scenario.from_file(args.config) if args.config else Scenario()
+    for flag, name in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(scenario, name, value)
     scenario.validate()
     return scenario
 
@@ -65,19 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cost-curve", help="ML objective versus angle for each signal source")
-    _add_common(p)
-    p.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    _add_common(p, out=True)
     p.add_argument("--eve-theta", type=float, default=45.0, metavar="DEG", help="attacker angle in degrees")
     p.add_argument("--eve-distance", type=float, default=10.0, metavar="M", help="attacker distance in meters")
 
     p = sub.add_parser("rmse-sweep", help="estimation error versus attacker distance/angle")
-    _add_common(p)
-    p.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    _add_common(p, out=True)
     p.add_argument("--attack", choices=["code-based", "location-based"], help="attack under test")
 
     p = sub.add_parser("auth-sweep", help="authentication accuracy/P_MD versus attacker distance/angle")
-    _add_common(p)
-    p.add_argument("--out", metavar="DIR", default="out", help="output directory")
+    _add_common(p, out=True)
     p.add_argument("--attack", choices=[k.value for k in AttackKind], help="attack under test")
     p.add_argument("--workers", type=int, default=1, metavar="N", help="parallel workers (never changes results)")
 
@@ -93,53 +87,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_cost_curve(args) -> int:
-    scenario = _load_scenario(args)
-    os.makedirs(args.out, exist_ok=True)
-    _log(f"cost-curve: seed={scenario.master_seed} eve=({args.eve_theta} deg, {args.eve_distance} m)")
+def _cost_curves(scenario, args):
     curves = harness.run_cost_curve_experiment(scenario, args.eve_theta, args.eve_distance)
-    for name, curve in curves.items():
-        curve.write_csv(os.path.join(args.out, f"cost_curve_{name}.csv"))
-    harness.write_manifest(args.out, scenario, "cost-curve")
-    _log(f"wrote {len(curves)} curves to {args.out}/")
-    return EXIT_OK
+    return {f"cost_curve_{name}.csv": curve.write_csv for name, curve in curves.items()}
 
 
-def _cmd_rmse_sweep(args) -> int:
+def _metrics_csv(csv_name, rows):
+    return {csv_name: lambda path: write_metrics_csv(path, rows)}
+
+
+# file-writing command -> its run, returning {file name in --out: writer}
+_EXPERIMENTS = {
+    "cost-curve": _cost_curves,
+    "rmse-sweep": lambda scenario, args: _metrics_csv(
+        "rmse.csv", harness.run_rmse_sweep(scenario)),
+    "auth-sweep": lambda scenario, args: _metrics_csv(
+        "auth.csv", harness.run_auth_sweep(scenario, workers=args.workers)),
+}
+
+
+def _cmd_experiment(args) -> int:
     scenario = _load_scenario(args)
     os.makedirs(args.out, exist_ok=True)
-    _log(f"rmse-sweep: attack={scenario.attack} points="
-         f"{len(scenario.eve_aoas_deg) * len(scenario.eve_distances_m)} trials={scenario.trials}")
-    rows = harness.run_rmse_sweep(scenario)
-    write_metrics_csv(os.path.join(args.out, "rmse.csv"), rows)
-    harness.write_manifest(args.out, scenario, "rmse-sweep")
-    _log(f"wrote {len(rows)} rows to {args.out}/rmse.csv")
-    return EXIT_OK
-
-
-def _cmd_auth_sweep(args) -> int:
-    scenario = _load_scenario(args)
-    os.makedirs(args.out, exist_ok=True)
-    _log(f"auth-sweep: attack={scenario.attack} reps={scenario.repetitions} "
-         f"test_size={scenario.test_size} workers={args.workers}")
-    rows = harness.run_auth_sweep(scenario, workers=args.workers)
-    write_metrics_csv(os.path.join(args.out, "auth.csv"), rows)
-    harness.write_manifest(args.out, scenario, "auth-sweep")
-    _log(f"wrote {len(rows)} rows to {args.out}/auth.csv")
+    _log(f"{args.command}: seed={scenario.master_seed} "
+         f"config_hash={scenario.config_hash()[:12]}")
+    files = _EXPERIMENTS[args.command](scenario, args)
+    for name, write in files.items():
+        write(os.path.join(args.out, name))
+    harness.write_manifest(args.out, scenario, args.command)
+    _log(f"wrote {len(files)} files and manifest.json to {args.out}/")
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    scenario = _load_scenario(args)
-    schedule = scenario.schedule()
-    config = scenario.array_config()
-    rng = harness.derive_trial_rng(scenario.master_seed, "estimate")
-    kind = AttackKind.from_string(args.attack)
-    pilots, _ = harness.eve_pilots(scenario, schedule, kind, args.theta, rng)
-    base = received_signal(schedule, NodeGeometry(args.distance, args.theta), pilots, config)
-    y = synthesize_observation(base, noise_variance(config), 1, rng)[0]
-    grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
-    estimate = grid.estimate(y)
+    estimate = harness.run_estimate(_load_scenario(args), args.theta, args.distance)
     print(f"theta_hat_deg={estimate.theta_hat_deg!r}")
     print(f"cost_at_min={estimate.cost_at_min!r}")
     return EXIT_OK
@@ -152,9 +133,7 @@ def _cmd_validate_config(args) -> int:
 
 
 _COMMANDS = {
-    "cost-curve": _cmd_cost_curve,
-    "rmse-sweep": _cmd_rmse_sweep,
-    "auth-sweep": _cmd_auth_sweep,
+    **dict.fromkeys(_EXPERIMENTS, _cmd_experiment),
     "estimate": _cmd_estimate,
     "validate-config": _cmd_validate_config,
 }

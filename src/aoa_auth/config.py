@@ -74,7 +74,8 @@ class Scenario:
 
     def validate(self) -> None:
         """Raise ConfigError naming the first unusable field; the sweep lists
-        are turned into lists of floats."""
+        are turned into lists of floats and the attack into its canonical
+        name."""
         if self.num_probes <= 1:
             raise ConfigError("num_probes must be > 1")
         if self.trials < 1:
@@ -90,7 +91,7 @@ class Scenario:
         if not 0.0 < self.grid_step_deg <= 10.0:
             raise ConfigError("grid_step_deg must lie in (0, 10]")
         try:
-            AttackKind.from_string(self.attack)
+            self.attack = AttackKind.from_string(self.attack).value
         except ValueError as e:
             raise ConfigError(f"attack: {e}")
         try:

@@ -82,7 +82,6 @@ class ResponseGrid:
             raise ValueError("pilot length does not match schedule length")
         self.schedule = schedule
         self.symbols = pilots.symbols
-        self.grid_step_deg = float(grid_step_deg)
         self.angles_deg = _grid_angles(grid_step_deg)
         n = schedule.num_antennas
         # (grid x N) steering matrix, rows a(theta_j)

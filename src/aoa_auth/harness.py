@@ -1,9 +1,10 @@
 """Deterministic Monte-Carlo experiment pipelines.
 
-Three experiments over a configured Scenario:
+Four experiments over a configured Scenario:
 
   * cost curves  - one realization of the ML objective per signal source,
     for plotting the attack signatures.
+  * estimate     - the estimator's output for one frame from a given position.
   * rmse sweep   - angle-estimation error versus the attacker's distance and
     angle, measured against the legitimate node's true angle.
   * auth sweep   - train the one-class verifier on legitimate estimates, then
@@ -25,7 +26,7 @@ import numpy as np
 from . import ocsvm
 from .attacks import AttackContext, AttackKind, attack_pilots
 from .config import Scenario
-from .estimator import CostCurve, ResponseGrid
+from .estimator import AoaEstimate, CostCurve, ResponseGrid
 from .metrics import ConfusionCounts, accuracy, p_fa, p_md, rmse
 from .signal_model import (
     NodeGeometry,
@@ -55,12 +56,11 @@ def derive_trial_rng(master_seed: int, *labels) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def _simulate_estimates(scenario, grid, geometry, tx_pilots, count, rng):
-    """Angle estimates for ``count`` noisy frames from one transmitter."""
+def _frames(scenario, schedule, geometry, tx_pilots, count, rng):
+    """``count`` noisy frames, shape (count, T), from one transmitter."""
     config = scenario.array_config()
-    base = received_signal(grid.schedule, geometry, tx_pilots, config)
-    ys = synthesize_observation(base, noise_variance(config), count, rng)
-    return grid.estimate_batch(ys)
+    base = received_signal(schedule, geometry, tx_pilots, config)
+    return synthesize_observation(base, noise_variance(config), count, rng)
 
 
 def eve_pilots(
@@ -82,7 +82,7 @@ def eve_pilots(
 
 
 # ----------------------------------------------------------------------
-# cost curves
+# cost curves and single-frame estimates
 
 
 def run_cost_curve_experiment(
@@ -93,14 +93,11 @@ def run_cost_curve_experiment(
     """One noisy realization of the ML objective for every signal source."""
     scenario.validate()
     schedule = scenario.schedule()
-    config = scenario.array_config()
-    sigma2 = noise_variance(config)
-    alice_geom = scenario.alice_geometry()
     eve_geom = NodeGeometry(eve_distance_m, eve_aoa_deg)
     grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
 
     sources = {
-        "alice": (alice_geom, AttackKind.NONE),
+        "alice": (scenario.alice_geometry(), AttackKind.NONE),
         "eve_no_attack": (eve_geom, AttackKind.NONE),
         "random_attack": (eve_geom, AttackKind.RANDOM),
         "code_based": (eve_geom, AttackKind.CODE_BASED),
@@ -110,10 +107,21 @@ def run_cost_curve_experiment(
     for name, (geom, kind) in sources.items():
         rng = derive_trial_rng(scenario.master_seed, "cost-curve", name)
         tx_pilots, _ = eve_pilots(scenario, schedule, kind, eve_aoa_deg, rng)
-        base = received_signal(schedule, geom, tx_pilots, config)
-        y = synthesize_observation(base, sigma2, 1, rng)[0]
+        y = _frames(scenario, schedule, geom, tx_pilots, 1, rng)[0]
         curves[name] = CostCurve(grid.angles_deg, grid.costs(y))
     return curves
+
+
+def run_estimate(scenario: Scenario, theta_deg: float, distance_m: float) -> AoaEstimate:
+    """Estimate from one noisy frame sent from (``theta_deg``, ``distance_m``)
+    with the pilots of the scenario's attack."""
+    scenario.validate()
+    schedule = scenario.schedule()
+    rng = derive_trial_rng(scenario.master_seed, "estimate")
+    pilots, _ = eve_pilots(scenario, schedule, scenario.attack_kind(), theta_deg, rng)
+    y = _frames(scenario, schedule, NodeGeometry(distance_m, theta_deg), pilots, 1, rng)[0]
+    grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
+    return grid.estimate(y)
 
 
 # ----------------------------------------------------------------------
@@ -164,21 +172,22 @@ def _auth_repetition(scenario: Scenario, rep: int):
     """Train one verifier on fresh legitimate estimates and score the test
     streams; returns (alice counts, per-point attack counts)."""
     schedule = scenario.schedule()
-    grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
-    alice_geom = scenario.alice_geometry()
     alice_pilots = scenario.alice_pilots()
+    grid = ResponseGrid(schedule, alice_pilots, scenario.grid_step_deg)
+    alice_geom = scenario.alice_geometry()
     half = scenario.test_size // 2
 
-    train_thetas = _simulate_estimates(
-        scenario, grid, alice_geom, alice_pilots, scenario.train_size,
-        derive_trial_rng(scenario.master_seed, "auth", rep, "train"),
-    )
+    def stream(*labels):
+        return derive_trial_rng(scenario.master_seed, "auth", rep, *labels)
+
+    def estimates(geometry, pilots, count, *labels):
+        frames = _frames(scenario, schedule, geometry, pilots, count, stream(*labels))
+        return grid.estimate_batch(frames)
+
+    train_thetas = estimates(alice_geom, alice_pilots, scenario.train_size, "train")
     model = ocsvm.train(train_thetas, scenario.ocsvm_params())
 
-    alice_thetas = _simulate_estimates(
-        scenario, grid, alice_geom, alice_pilots, half,
-        derive_trial_rng(scenario.master_seed, "auth", rep, "alice-test"),
-    )
+    alice_thetas = estimates(alice_geom, alice_pilots, half, "alice-test")
     alice_counts = ConfusionCounts.from_decisions(
         model.decision(alice_thetas) > 0.0, legitimate=True
     )
@@ -186,15 +195,10 @@ def _auth_repetition(scenario: Scenario, rep: int):
     kind = scenario.attack_kind()
     eve_counts = {}
     for theta_e in scenario.eve_aoas_deg:
-        pilots, _ = eve_pilots(
-            scenario, schedule, kind, theta_e,
-            derive_trial_rng(scenario.master_seed, "auth", rep, "attack", theta_e),
-        )
+        pilots, _ = eve_pilots(scenario, schedule, kind, theta_e, stream("attack", theta_e))
         for d_e in scenario.eve_distances_m:
-            eve_thetas = _simulate_estimates(
-                scenario, grid, NodeGeometry(d_e, theta_e), pilots, half,
-                derive_trial_rng(scenario.master_seed, "auth", rep, "eve", theta_e, d_e),
-            )
+            geometry = NodeGeometry(d_e, theta_e)
+            eve_thetas = estimates(geometry, pilots, half, "eve", theta_e, d_e)
             eve_counts[(theta_e, d_e)] = ConfusionCounts.from_decisions(
                 model.decision(eve_thetas) > 0.0, legitimate=False
             )

@@ -101,13 +101,8 @@ class OcsvmModel:
     def decision(self, x):
         """f(x) = sum_i alpha_i K(x_i, x) - rho; accepts scalars or arrays."""
         x = np.asarray(x, dtype=float)
-        k = np.exp(-self.gamma * (x[..., None] - self.support_points) ** 2)
+        k = kernel(x[..., None], self.support_points, self.gamma)
         return k @ self.alphas - self.rho
-
-    def decide(self, x: float):
-        """(accepted, decision_value); an exact zero is rejected."""
-        value = float(self.decision(x))
-        return value > 0.0, value
 
 
 def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
@@ -205,8 +200,3 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
         iterations=iterations,
         kkt_violation=float(violation),
     )
-
-
-def dual_objective(alpha: np.ndarray, k_matrix: np.ndarray) -> float:
-    """0.5 * a^T Q a, exposed for solver cross-checks."""
-    return 0.5 * float(alpha @ k_matrix @ alpha)

@@ -42,10 +42,6 @@ class ArrayConfig:
     def tx_power_watts(self) -> float:
         return 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0)
 
-    @property
-    def wavelength_m(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_freq_hz
-
 
 @dataclass(frozen=True)
 class NodeGeometry:

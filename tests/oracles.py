@@ -30,17 +30,29 @@ def naive_cost(y, z):
 
 
 def project_capped_simplex(v, cap):
-    """Euclidean projection onto {0 <= a_i <= cap, sum a_i = 1} by bisection
-    on the shift."""
+    """Euclidean projection onto {0 <= a_i <= cap, sum a_i = 1}.
+
+    The projection is clip(v - tau, 0, cap) for the shift tau at which the
+    sum of the clipped entries is 1.  That sum is non-increasing and linear
+    between its breakpoints v_i - cap and v_i, so tau is found exactly by
+    evaluating the sum at the sorted breakpoints and interpolating inside the
+    interval where it crosses 1.
+    """
     v = np.asarray(v, dtype=float)
-    lo, hi = v.min() - cap - 1.0, v.max() + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, cap).sum() > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, cap)
+    knots = np.sort(np.concatenate([v - cap, v]))
+    sums = np.clip(v[None, :] - knots[:, None], 0.0, cap).sum(axis=1)
+    # sums[0] = l * cap >= 1 and sums[-1] = 0, so the crossing is inside
+    k = int(np.argmax(sums <= 1.0))
+    if k == 0:
+        return np.clip(v - knots[0], 0.0, cap)
+    lo, hi = knots[k - 1], knots[k]
+    tau = lo + (sums[k - 1] - 1.0) * (hi - lo) / (sums[k - 1] - sums[k])
+    return np.clip(v - tau, 0.0, cap)
+
+
+def dual_objective(alpha, k_matrix):
+    """0.5 * a^T K a, the one-class SVM dual objective."""
+    return 0.5 * float(alpha @ k_matrix @ alpha)
 
 
 def projected_gradient_ocsvm(k_matrix, cap, iters=20_000, tol=1e-12):

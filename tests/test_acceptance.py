@@ -31,9 +31,11 @@ from aoa_auth import (
     train,
 )
 from aoa_auth.cli import main as cli_main
-from aoa_auth.ocsvm import dual_objective, kernel
+from aoa_auth.ocsvm import kernel
 
-from oracles import projected_gradient_ocsvm
+from oracles import dual_objective, projected_gradient_ocsvm
+
+pytestmark = pytest.mark.acceptance
 
 MASTER_SEED = 20240
 FULL_DISTANCES = [

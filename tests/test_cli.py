@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -39,6 +40,51 @@ class TestEstimate:
         assert rc == EXIT_OK
         theta = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         assert theta == pytest.approx(0.0, abs=0.1)
+
+
+class TestPinnedOutputs:
+    """``estimate`` stdout and the cost-curve CSVs, byte for byte, as the
+    default scenario and ``SMALL`` produce them at their seeds."""
+
+    @pytest.mark.parametrize(
+        "theta, attack, expected",
+        [
+            ("45", "none",
+             "theta_hat_deg=44.99838007568166\ncost_at_min=8.315480845991967e-13\n"),
+            ("45", "location-based",
+             "theta_hat_deg=0.00010494037172870192\ncost_at_min=8.536774982106577e-13\n"),
+            ("45", "code-based",
+             "theta_hat_deg=-3.9057571908609177\ncost_at_min=8.469057147243067e-09\n"),
+            ("-30", "location-based",
+             "theta_hat_deg=-52.588424117067866\ncost_at_min=6.176114126446213e-13\n"),
+            # the only attack that draws its pilots from the stream, so this
+            # case pins the draw order: Eve's pilots, then the frame
+            ("45", "random",
+             "theta_hat_deg=42.4032904927882\ncost_at_min=3.487895816704441e-08\n"),
+        ],
+    )
+    def test_estimate_stdout(self, capsys, theta, attack, expected):
+        assert main(["estimate", "--theta", theta, "--attack", attack]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_cost_curve_csv_sha256(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["cost-curve", "--config", write_config(tmp_path), "--out", str(out)]) == EXIT_OK
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")
+        }
+        assert digests == {
+            "cost_curve_alice.csv":
+                "5a2f2b8e7ca3100589fb7a47ec0b3d11a5673729b141599c3af822025dbabd8e",
+            "cost_curve_eve_no_attack.csv":
+                "d4c630dff241a53ab68037e3cb56f7370ec2e42112de0df732da19a7a58d6c4a",
+            "cost_curve_random_attack.csv":
+                "6df0bd87c37e622da6fbaf91db880702f50ff9163653ba5f876ea684078550c5",
+            "cost_curve_code_based.csv":
+                "e7e028a555564ddb41ab7e136d2d5ae5bb95455dd6aae815911a3bae14f3df22",
+            "cost_curve_location_based.csv":
+                "3fe45ffeda9126f4c7cf312f5203beb6795d575df7213cd074007919cce9375c",
+        }
 
 
 class TestValidateConfig:
@@ -158,6 +204,18 @@ class TestSweeps:
             manifest = json.loads((out / "manifest.json").read_text())
             outputs.append(((out / "auth.csv").read_bytes(), manifest["config_hash"]))
         assert outputs[0] == outputs[1]
+
+    def test_attack_spellings_give_one_sweep(self, tmp_path):
+        outputs = set()
+        for i, attack in enumerate(["location-based", "Location-Based", " location-based "]):
+            cfg = write_config(tmp_path, attack=attack, trials=50,
+                               eve_distances_m=[10.0, 100.0])
+            out = tmp_path / f"spelling{i}"
+            assert main(["rmse-sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            outputs.add(((out / "rmse.csv").read_bytes(), manifest["config_hash"]))
+        assert len(outputs) == 1
+        assert b"\nlocation-based,45.0,10.0," in next(iter(outputs))[0]
 
     def test_rmse_sweep_writes_rows(self, tmp_path):
         cfg = write_config(tmp_path)

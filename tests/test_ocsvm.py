@@ -5,12 +5,11 @@ from aoa_auth import OcsvmParams, train
 from aoa_auth.ocsvm import (
     MEDIAN_HEURISTIC,
     OcsvmConvergenceError,
-    dual_objective,
     kernel,
     median_heuristic_gamma,
 )
 
-from oracles import projected_gradient_ocsvm
+from oracles import dual_objective, projected_gradient_ocsvm
 
 
 class TestKernel:
@@ -197,10 +196,9 @@ class TestTrain:
         # everywhere else
         m = train(np.array([1.0, 1.0]), OcsvmParams(nu=1.0))
         assert m.rho == pytest.approx(1.0)
-        ok, val = m.decide(1.0)
-        assert not ok and val == pytest.approx(0.0, abs=1e-12)
-        ok2, val2 = m.decide(2.0)
-        assert not ok2 and val2 < -0.5
+        val = float(m.decision(1.0))
+        assert not val > 0.0 and val == pytest.approx(0.0, abs=1e-12)
+        assert float(m.decision(2.0)) < -0.5
         assert m.degenerate_rho
 
     def test_matches_projected_gradient_oracle(self):
@@ -252,10 +250,8 @@ class TestTrain:
         rng = np.random.default_rng(5)
         x = rng.normal(0.0, 0.005, 1000)
         m = train(x, OcsvmParams())
-        ok, val = m.decide(45.0)
-        assert not ok and val < 0.0
-        ok0, _ = m.decide(0.0)
-        assert ok0
+        assert float(m.decision(45.0)) < 0.0
+        assert float(m.decision(0.0)) > 0.0
 
     def test_decision_decreases_away_from_cluster(self):
         rng = np.random.default_rng(6)
