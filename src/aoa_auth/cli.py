@@ -8,6 +8,7 @@ stderr, so outputs stay pipeline-safe.  Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -43,7 +44,28 @@ _OVERRIDES = {
 }
 
 
+# command -> its transmitter position flags (angle, distance)
+_POSITIONS = {
+    "cost-curve": ("--eve-theta", "--eve-distance"),
+    "estimate": ("--theta", "--distance"),
+}
+
+
+def _check_position(args) -> None:
+    """Reject a position flag outside (-90, 90) deg or a distance that is not
+    finite and positive, before anything is computed or written."""
+    if args.command not in _POSITIONS:
+        return
+    theta_flag, distance_flag = flags = _POSITIONS[args.command]
+    theta, distance = (getattr(args, flag[2:].replace("-", "_")) for flag in flags)
+    if not -90.0 < theta < 90.0:
+        raise ConfigError(f"{theta_flag} must lie in (-90, 90), got {theta!r}")
+    if not 0.0 < distance < math.inf:
+        raise ConfigError(f"{distance_flag} must be finite and positive, got {distance!r}")
+
+
 def _load_scenario(args) -> Scenario:
+    _check_position(args)
     scenario = Scenario.from_file(args.config) if args.config else Scenario()
     for flag, name in _OVERRIDES.items():
         value = getattr(args, flag, None)

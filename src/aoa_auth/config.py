@@ -90,6 +90,14 @@ class Scenario:
         self.eve_aoas_deg = _float_entries("eve_aoas_deg", self.eve_aoas_deg)
         if not 0.0 < self.grid_step_deg <= 10.0:
             raise ConfigError("grid_step_deg must lie in (0, 10]")
+        if (isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int)
+                or not 0 <= self.master_seed < 2**64):
+            # derive_trial_rng masks seeds to 64 bits: -1 would alias 2**64 - 1
+            raise ConfigError(
+                f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}"
+            )
+        if not isinstance(self.attack, str):
+            raise ConfigError(f"attack must be a string, got {self.attack!r}")
         try:
             self.attack = AttackKind.from_string(self.attack).value
         except ValueError as e:

@@ -38,22 +38,46 @@ from .signal_model import (
 )
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+
+
+def _label_words(label) -> list[int]:
+    """The uint32 words ``SeedSequence`` makes of one label.
+
+    Ints are masked to a 64-bit word; anything else is hashed to one (via its
+    repr, so the derivation is independent of platform details).  The word's
+    low 32 bits come first, its high 32 bits follow only if non-zero.
+    """
+    if isinstance(label, (int, np.integer)):
+        word = int(label) & _MASK64
+    else:
+        digest = hashlib.sha256(repr(label).encode()).digest()
+        word = int.from_bytes(digest[:8], "big")
+    return [word & _MASK32, word >> 32] if word >> 32 else [word]
+
+
+def _entropy(master_seed: int, *labels) -> list[int]:
+    """Entropy words of the stream named by (master seed, labels...)."""
+    words = _label_words(int(master_seed))
+    for label in labels:
+        words += _label_words(label)
+    return words
+
+
+def _stream(entropy: list[int]) -> np.random.Generator:
+    # a fresh array per stream: SeedSequence keeps a reference to its entropy
+    seq = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def derive_trial_rng(master_seed: int, *labels) -> np.random.Generator:
     """Deterministic, collision-free stream from (master seed, labels...).
 
-    Labels may be ints, floats, or strings; strings and floats are hashed to
-    64-bit words so the derivation is independent of platform repr details.
+    Labels may be ints, floats, or strings.  Callers that derive many streams
+    sharing leading labels compose ``_entropy`` and ``_stream`` instead, so
+    the shared labels are hashed once; the streams are the same.
     """
-    words = [int(master_seed) & _MASK64]
-    for label in labels:
-        if isinstance(label, (int, np.integer)):
-            words.append(int(label) & _MASK64)
-        else:
-            digest = hashlib.sha256(repr(label).encode()).digest()
-            words.append(int.from_bytes(digest[:8], "big"))
-    return np.random.default_rng(np.random.SeedSequence(words))
+    return _stream(_entropy(master_seed, *labels))
 
 
 def _frames(scenario, schedule, geometry, tx_pilots, count, rng):
@@ -145,12 +169,10 @@ def run_rmse_sweep(scenario: Scenario) -> list[dict]:
         pilots, _ = eve_pilots(scenario, schedule, kind, theta_e)
         for d_e in scenario.eve_distances_m:
             base = received_signal(schedule, NodeGeometry(d_e, theta_e), pilots, config)
-            ys = np.empty((scenario.trials, schedule.num_probes), dtype=complex)
-            for trial in range(scenario.trials):
-                rng = derive_trial_rng(
-                    scenario.master_seed, "rmse", scenario.attack, theta_e, d_e, trial
-                )
-                ys[trial] = synthesize_observation(base, sigma2, 1, rng)[0]
+            # stream of trial k: derive_trial_rng(seed, "rmse", attack, theta_e, d_e, k)
+            point = _entropy(scenario.master_seed, "rmse", scenario.attack, theta_e, d_e)
+            rngs = (_stream(point + _label_words(k)) for k in range(scenario.trials))
+            ys = synthesize_observation(base, sigma2, scenario.trials, rngs)
             estimates = grid.estimate_batch(ys)
             rows.append(
                 {

@@ -13,6 +13,7 @@ are in degrees; radians appear only inside trigonometric kernels.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,16 +173,34 @@ def received_signal(
 
 
 def synthesize_observation(
-    signal: np.ndarray, noise_var: float, count: int, rng: np.random.Generator
+    signal: np.ndarray,
+    noise_var: float,
+    count: int,
+    rng: np.random.Generator | Iterable[np.random.Generator],
 ) -> np.ndarray:
     """``count`` received frames e^{j phi} * signal + AWGN, shape (count, T).
 
-    The channel phases are drawn first, then the real and then the imaginary
-    noise, so stream consumption order is part of the contract.
+    Stream consumption order is part of the contract.  From one Generator,
+    the ``count`` channel phases are drawn first, then the real and then the
+    imaginary noise of all frames.  From a sequence (or any iterable) of
+    ``count`` Generators, frame k draws from the k-th alone: its phase, its
+    real row, then its imaginary row -- exactly the draws of a ``count=1``
+    call on that stream.  Each is drawn from before the next is taken, so a
+    lazy iterable keeps one Generator alive at a time.
     """
     t = len(signal)
-    phases = rng.uniform(0.0, 2.0 * np.pi, count)
-    noise = np.sqrt(noise_var / 2.0) * (
-        rng.standard_normal((count, t)) + 1j * rng.standard_normal((count, t))
-    )
+    if isinstance(rng, np.random.Generator):
+        phases = rng.uniform(0.0, 2.0 * np.pi, count)
+        real = rng.standard_normal((count, t))
+        imag = rng.standard_normal((count, t))
+    else:
+        phases = np.empty(count)
+        real = np.empty((count, t))
+        imag = np.empty((count, t))
+        # strict: a count that differs from the number of streams is an error
+        for k, frame_rng in zip(range(count), rng, strict=True):
+            phases[k] = frame_rng.uniform(0.0, 2.0 * np.pi)
+            frame_rng.standard_normal(out=real[k])
+            frame_rng.standard_normal(out=imag[k])
+    noise = np.sqrt(noise_var / 2.0) * (real + 1j * imag)
     return np.exp(1j * phases)[:, None] * signal[None, :] + noise

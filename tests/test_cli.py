@@ -41,6 +41,20 @@ class TestEstimate:
         theta = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
         assert theta == pytest.approx(0.0, abs=0.1)
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--theta", "95"], "--theta"), (["--theta", "-90"], "--theta"),
+         (["--theta", "nan"], "--theta"), (["--theta", "45", "--distance", "0"], "--distance"),
+         (["--theta", "45", "--distance", "inf"], "--distance")],
+    )
+    def test_bad_position_is_config_error(self, capsys, flags, named):
+        assert main(["estimate", *flags]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, capsys):
+        assert main(["estimate", "--theta", "45", "--seed", "-1"]) == EXIT_CONFIG
+        assert "master_seed" in capsys.readouterr().err
+
 
 class TestPinnedOutputs:
     """``estimate`` stdout and the cost-curve CSVs, byte for byte, as the
@@ -124,6 +138,23 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [-1, 2**64, True, 1.5, "5", None])
+    def test_master_seed_outside_u64_is_config_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, master_seed=value)
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        assert "master_seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0, 2**64 - 1])
+    def test_master_seed_u64_bounds_accepted(self, tmp_path, value):
+        cfg = write_config(tmp_path, master_seed=value)
+        assert main(["validate-config", "--config", cfg]) == EXIT_OK
+
+    @pytest.mark.parametrize("value", [5, None, ["code-based"]])
+    def test_non_string_attack_is_config_error(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, attack=value)
+        assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+        assert "attack" in capsys.readouterr().err
+
     def test_integer_sweep_entries_hash_as_floats(self):
         ints = Scenario.from_dict({"eve_aoas_deg": [45], "eve_distances_m": [10, 100]})
         floats = Scenario.from_dict(
@@ -172,6 +203,17 @@ class TestCostCurve:
         assert manifest["experiment"] == "cost-curve"
         assert manifest["master_seed"] == 5
         assert len(manifest["config_hash"]) == 64
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--eve-theta", "95"], "--eve-theta"), (["--eve-distance", "0"], "--eve-distance")],
+    )
+    def test_bad_position_fails_before_out_is_made(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "out"
+        rc = main(["cost-curve", "--config", write_config(tmp_path), "--out", str(out), *flags])
+        assert rc == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweeps:

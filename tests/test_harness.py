@@ -8,6 +8,7 @@ from aoa_auth import (
     run_cost_curve_experiment,
     run_rmse_sweep,
 )
+from aoa_auth import harness
 from aoa_auth.config import ConfigError
 
 
@@ -48,6 +49,78 @@ class TestDeriveTrialRng:
         x = derive_trial_rng(3, "rmse", 0).standard_normal(n)
         y = derive_trial_rng(3, "rmse", 1).standard_normal(n)
         assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
+
+
+# derive_trial_rng(seed, *labels).standard_normal(4), recorded before the
+# per-point derivation went in; these pin every stream the simulator draws
+PINNED_STREAMS = [
+    (0, (), [0.1257302210933933, -0.1321048632913019, 0.6404226504432821, 0.10490011715303971]),
+    (0, ("rmse", "code-based", 45.0, 1000.0, 0),
+     [1.053277676723883, -0.1492412487869532, -0.5831255851930872, -1.8809635719365412]),
+    (2**32 - 1, ("auth", 3, "train"),
+     [1.5560600044851713, 0.8339816180701619, -0.40960732535368977, 0.8233649020664644]),
+    (2**32, ("estimate",),
+     [-0.3685779786168347, 1.0965797189556448, 0.26850112438771695, 1.8375950909026055]),
+    (2**64 - 1, ("cost-curve", "alice"),
+     [0.5526557278362295, -0.3618525587046471, 0.41983428125869, 1.994262057566697]),
+    (20240, ("rmse", "location-based", 5.0, 10.0, -1),
+     [-0.7027605081178052, 0.8954208718556919, 1.7516763455686895, 0.7018543910802352]),
+    (20240, ("auth", np.int64(5), "eve", 45.0, 1000.0),
+     [-1.9537970420673034, -0.45811157482789344, 0.4740022540187803, 0.18790448968667237]),
+    (7, ("eve", 0, 2**32, 2**63 + 5),
+     [0.4271100090289768, -0.23512271850248645, 1.700985535289087, 1.0879818772527083]),
+]
+
+
+def _state(rng):
+    return rng.bit_generator.state
+
+
+class TestStreamDerivation:
+    @pytest.mark.parametrize("seed, labels, expected", PINNED_STREAMS)
+    def test_streams_pinned(self, seed, labels, expected):
+        drawn = derive_trial_rng(seed, *labels).standard_normal(4)
+        assert np.array_equal(drawn, np.array(expected))
+
+    def test_entropy_is_seedsequence_coercion_of_the_words(self):
+        # SeedSequence splits each int into uint32 words, low word first, and
+        # drops a zero high word
+        edge = [0, 1, 2**32 - 1, 2**32, 2**40, 2**63 + 5, 2**64 - 1]
+        rng = np.random.default_rng(0)
+        random = [
+            [int(w) for w in rng.integers(0, 2**64, n, dtype=np.uint64)]
+            for n in rng.integers(1, 9, 200)
+        ]
+        for words in [[w] for w in edge] + [edge, edge[::-1]] + random:
+            from_ints = np.random.SeedSequence(words)
+            from_words = np.random.SeedSequence(
+                np.array(harness._entropy(*words), dtype=np.uint32)
+            )
+            assert np.array_equal(from_ints.pool, from_words.pool), words
+
+    @pytest.mark.parametrize("trial", [0, 1, 149, 2**32, 2**40])
+    def test_point_prefix_gives_the_trial_stream(self, trial):
+        labels = (20240, "rmse", "code-based", 45.0, 1000.0)
+        point = harness._entropy(*labels)
+        composed = harness._stream(point + harness._label_words(trial))
+        assert _state(composed) == _state(derive_trial_rng(*labels, trial))
+
+    def test_rmse_sweep_draws_each_trial_stream(self, monkeypatch):
+        s = small_scenario(attack="code-based", trials=150, eve_distances_m=[10.0])
+        drawn = []
+        synthesize = harness.synthesize_observation
+
+        def recording(signal, noise_var, count, rngs):
+            rngs = list(rngs)
+            drawn.append([_state(rng) for rng in rngs])
+            return synthesize(signal, noise_var, count, rngs)
+
+        monkeypatch.setattr(harness, "synthesize_observation", recording)
+        run_rmse_sweep(s)
+        assert drawn == [
+            [_state(derive_trial_rng(7, "rmse", "code-based", 45.0, 10.0, k))
+             for k in range(150)]
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 """Sweep outputs against the benchmark's reference digests, and the entry
 points the benchmark's tracer wraps.
 
-``perfbench/reference.json`` holds the sha256 of the CSV each tiny benchmark
-sweep writes at its reference master seed, so any change to the bytes of
-``auth.csv`` or ``rmse.csv`` fails here.  ``perfbench/spans.py`` wraps the
+``perfbench/reference.json`` holds the sha256 of the CSV each benchmark
+sweep, tiny and full size, writes at its reference master seed, so any
+change to the bytes of ``auth.csv`` or ``rmse.csv`` fails here.  ``perfbench/spans.py`` wraps the
 names its ``entry_points`` lists; renaming or removing one breaks traced
 benchmark runs.
 """
@@ -20,7 +20,12 @@ from aoa_auth import attacks, cli, config, estimator, harness, metrics, ocsvm, s
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
-TINY = sorted(p.stem for p in (PERFBENCH / "scenarios" / "tiny").glob("*.json"))
+SCENARIOS = {
+    "full": PERFBENCH / "scenarios",
+    "tiny": PERFBENCH / "scenarios" / "tiny",
+}
+TINY = sorted(p.stem for p in SCENARIOS["tiny"].glob("*.json"))
+FULL = sorted(p.stem for p in SCENARIOS["full"].glob("*.json"))
 # workload -> (CLI command, CSV it writes)
 COMMANDS = {
     "auth-lba": ("auth-sweep", "auth.csv"),
@@ -30,23 +35,34 @@ COMMANDS = {
 
 
 def test_every_tiny_scenario_is_checked():
-    assert TINY == sorted(COMMANDS)
+    assert TINY == FULL == sorted(COMMANDS)
 
 
-@pytest.mark.parametrize("workload", TINY)
-def test_tiny_sweep_matches_reference_sha256(workload, tmp_path):
+def check_sweep(scale, workload, out_dir):
     command, csv_name = COMMANDS[workload]
     argv = [
         command,
-        "--config", str(PERFBENCH / "scenarios" / "tiny" / f"{workload}.json"),
+        "--config", str(SCENARIOS[scale] / f"{workload}.json"),
         "--seed", str(REFERENCE["seed"]),
-        "--out", str(tmp_path),
+        "--out", str(out_dir),
     ]
     if command == "auth-sweep":
         argv += ["--workers", "1"]
     assert cli.main(argv) == cli.EXIT_OK
-    digest = hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest()
-    assert digest == REFERENCE["sha256"][f"tiny/{workload}"]
+    digest = hashlib.sha256((out_dir / csv_name).read_bytes()).hexdigest()
+    assert digest == REFERENCE["sha256"][f"{scale}/{workload}"]
+
+
+@pytest.mark.parametrize("workload", TINY)
+def test_tiny_sweep_matches_reference_sha256(workload, tmp_path):
+    check_sweep("tiny", workload, tmp_path)
+
+
+@pytest.mark.parametrize("workload", FULL)
+def test_full_sweep_matches_reference_sha256(workload, tmp_path):
+    # the benchmark's own sweeps: 150 trials per RMSE point, where the tiny
+    # scenario runs 4
+    check_sweep("full", workload, tmp_path)
 
 
 def test_benchmark_entry_points_resolve(monkeypatch):

@@ -189,6 +189,35 @@ class TestSynthesizeObservation:
         )
         assert np.allclose(y, noise)
 
+    def test_sequence_of_streams_equals_stacked_single_frames(self):
+        signal = self.signal(NodeGeometry(50.0, 20.0))
+        sigma2 = noise_variance(self.cfg)
+        seeds = [3, 1, 4, 1, 5, 9]
+        y = synthesize_observation(
+            signal, sigma2, len(seeds), [np.random.default_rng(s) for s in seeds]
+        )
+        stacked = np.concatenate([
+            synthesize_observation(signal, sigma2, 1, np.random.default_rng(s))
+            for s in seeds
+        ])
+        assert np.array_equal(y, stacked)
+
+    def test_lazy_streams_equal_a_list(self):
+        signal = self.signal(NodeGeometry(50.0, 20.0))
+        listed = synthesize_observation(
+            signal, 1e-12, 4, [np.random.default_rng(s) for s in range(4)]
+        )
+        lazy = synthesize_observation(
+            signal, 1e-12, 4, (np.random.default_rng(s) for s in range(4))
+        )
+        assert np.array_equal(listed, lazy)
+
+    @pytest.mark.parametrize("streams", [2, 4])
+    def test_number_of_streams_must_match_count(self, streams):
+        rngs = [np.random.default_rng(s) for s in range(streams)]
+        with pytest.raises(ValueError):
+            synthesize_observation(self.signal(NodeGeometry(10.0, 0.0)), 1.0, 3, rngs)
+
     def test_noiseless_linear_in_pilots(self):
         geom = NodeGeometry(25.0, 12.0)
         p1 = PilotSequence.constant(17)
