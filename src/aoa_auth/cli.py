@@ -8,13 +8,12 @@ stderr, so outputs stay pipeline-safe.  Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 from . import harness
 from .attacks import AttackKind
-from .config import ConfigError, Scenario
+from .config import ConfigError, Scenario, node_geometry
 from .metrics import write_metrics_csv
 
 EXIT_OK = 0
@@ -52,16 +51,13 @@ _POSITIONS = {
 
 
 def _check_position(args) -> None:
-    """Reject a position flag outside (-90, 90) deg or a distance that is not
-    finite and positive, before anything is computed or written."""
+    """Reject position flags that ``NodeGeometry`` refuses, before anything is
+    computed or written."""
     if args.command not in _POSITIONS:
         return
     theta_flag, distance_flag = flags = _POSITIONS[args.command]
     theta, distance = (getattr(args, flag[2:].replace("-", "_")) for flag in flags)
-    if not -90.0 < theta < 90.0:
-        raise ConfigError(f"{theta_flag} must lie in (-90, 90), got {theta!r}")
-    if not 0.0 < distance < math.inf:
-        raise ConfigError(f"{distance_flag} must be finite and positive, got {distance!r}")
+    node_geometry(distance, theta, distance_flag, theta_flag)
 
 
 def _load_scenario(args) -> Scenario:

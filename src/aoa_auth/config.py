@@ -11,11 +11,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 from .attacks import AttackKind
+from .estimator import check_grid_step
 from .ocsvm import MEDIAN_HEURISTIC, OcsvmParams
 from .signal_model import ArrayConfig, NodeGeometry, PilotSequence, ProbeSchedule
 
@@ -31,15 +32,39 @@ DEFAULT_EVE_DISTANCES_M = [
 DEFAULT_EVE_AOAS_DEG = [5.0, 20.0, 30.0, 45.0, 60.0]
 
 
-def _float_entries(name: str, values) -> list:
-    """``values`` as a non-empty list of finite floats, so that 45 and 45.0
-    name the same sweep point, hash alike and seed the same streams."""
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(f"{name} must be a non-empty list of numbers")
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-            raise ConfigError(f"{name} entries must be finite numbers, got {v!r}")
-    return [float(v) for v in values]
+def _finite(v) -> bool:
+    """Whether ``v`` is a real, not a bool, and a finite float once converted."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# field annotation -> (what a value must be, whether v is one, the stored form
+# of v).  Floats are stored as floats, so that 45 and 45.0 name the same
+# scenario, hash alike and seed the same streams.
+_COERCIONS = {
+    "int": ("an integer",
+            lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), int),
+    "float": ("a finite number", _finite, float),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "float | str": ("a finite number or a string", lambda v: isinstance(v, str) or _finite(v),
+                    lambda v: v if isinstance(v, str) else float(v)),
+    "list[float]": ("a non-empty list of finite numbers",
+                    lambda v: isinstance(v, (list, tuple)) and v and all(map(_finite, v)),
+                    lambda v: [float(x) for x in v]),
+}
+
+# smallest usable value of each count field that no simulator object checks;
+# an auth sweep tests on test_size // 2 frames per side
+_MINIMUMS = {"num_probes": 2, "trials": 1, "train_size": 2, "test_size": 2, "repetitions": 1}
+
+
+def node_geometry(distance_m, aoa_deg, distance_name: str, aoa_name: str) -> NodeGeometry:
+    """``NodeGeometry(distance_m, aoa_deg)``; its error becomes a ConfigError
+    that calls the coordinates by the caller's names for them."""
+    try:
+        return NodeGeometry(distance_m, aoa_deg)
+    except ValueError as e:
+        message = str(e).replace("distance_m", distance_name).replace("aoa_deg", aoa_name)
+        raise ConfigError(message) from None
 
 
 @dataclass
@@ -55,8 +80,8 @@ class Scenario:
     # geometry
     alice_distance_m: float = 10.0
     alice_aoa_deg: float = 0.0
-    eve_distances_m: list = field(default_factory=lambda: list(DEFAULT_EVE_DISTANCES_M))
-    eve_aoas_deg: list = field(default_factory=lambda: list(DEFAULT_EVE_AOAS_DEG))
+    eve_distances_m: list[float] = field(default_factory=lambda: list(DEFAULT_EVE_DISTANCES_M))
+    eve_aoas_deg: list[float] = field(default_factory=lambda: list(DEFAULT_EVE_AOAS_DEG))
     # attack under test
     attack: str = "location-based"
     # Monte-Carlo sizes
@@ -73,64 +98,48 @@ class Scenario:
     grid_step_deg: float = 0.05
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first unusable field; the sweep lists
-        are turned into lists of floats and the attack into its canonical
-        name."""
-        if self.num_probes <= 1:
-            raise ConfigError("num_probes must be > 1")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.train_size < 2:
-            raise ConfigError("train_size must be >= 2")
-        if self.test_size < 1:
-            raise ConfigError("test_size must be >= 1")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        self.eve_distances_m = _float_entries("eve_distances_m", self.eve_distances_m)
-        self.eve_aoas_deg = _float_entries("eve_aoas_deg", self.eve_aoas_deg)
-        if not 0.0 < self.grid_step_deg <= 10.0:
-            raise ConfigError("grid_step_deg must lie in (0, 10]")
-        if (isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int)
-                or not 0 <= self.master_seed < 2**64):
+        """Raise ConfigError naming the first unusable field.  Each field is
+        coerced to its declared type, the attack to its canonical name; every
+        physical rule is left to the simulator object that owns it."""
+        for f in dataclasses.fields(self):
+            what, accepts, coerce = _COERCIONS[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+            setattr(self, f.name, coerce(value))
+        for name, minimum in _MINIMUMS.items():
+            if getattr(self, name) < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)!r}")
+        if not 0 <= self.master_seed < 2**64:
             # derive_trial_rng masks seeds to 64 bits: -1 would alias 2**64 - 1
-            raise ConfigError(
-                f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}"
-            )
-        if not isinstance(self.attack, str):
-            raise ConfigError(f"attack must be a string, got {self.attack!r}")
+            raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed!r}")
         try:
             self.attack = AttackKind.from_string(self.attack).value
-        except ValueError as e:
-            raise ConfigError(f"attack: {e}")
-        try:
             self.array_config()
-            self.alice_geometry()
             self.ocsvm_params()
+            check_grid_step(self.grid_step_deg)
         except ValueError as e:
-            raise ConfigError(str(e))
-        for d in self.eve_distances_m:
-            if d <= 0:
-                raise ConfigError("eve_distances_m entries must be positive")
-        for a in self.eve_aoas_deg:
-            if not -90.0 < a < 90.0:
-                raise ConfigError("eve_aoas_deg entries must lie in (-90, 90)")
+            raise ConfigError(str(e)) from None
+        self.alice_geometry()
+        for theta_e in self.eve_aoas_deg:
+            for d_e in self.eve_distances_m:
+                node_geometry(d_e, theta_e, "eve_distances_m entries", "eve_aoas_deg entries")
 
     # typed views consumed by the simulator ------------------------------
 
+    def _view(self, cls):
+        """``cls`` built from the scenario fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
+
     def array_config(self) -> ArrayConfig:
-        return ArrayConfig(
-            num_antennas=self.num_antennas,
-            carrier_freq_hz=self.carrier_freq_hz,
-            bandwidth_hz=self.bandwidth_hz,
-            noise_psd_dbm_hz=self.noise_psd_dbm_hz,
-            tx_power_dbm=self.tx_power_dbm,
-        )
+        return self._view(ArrayConfig)
 
     def schedule(self) -> ProbeSchedule:
         return ProbeSchedule.uniform(self.num_probes, self.num_antennas)
 
     def alice_geometry(self) -> NodeGeometry:
-        return NodeGeometry(self.alice_distance_m, self.alice_aoa_deg)
+        return node_geometry(self.alice_distance_m, self.alice_aoa_deg,
+                             "alice_distance_m", "alice_aoa_deg")
 
     def alice_pilots(self) -> PilotSequence:
         return PilotSequence.constant(self.num_probes)
@@ -139,12 +148,7 @@ class Scenario:
         return AttackKind.from_string(self.attack)
 
     def ocsvm_params(self) -> OcsvmParams:
-        return OcsvmParams(
-            nu=self.nu,
-            gamma=self.gamma,
-            solver_tol=self.solver_tol,
-            max_iters=self.max_iters,
-        )
+        return self._view(OcsvmParams)
 
     # serialization ------------------------------------------------------
 

@@ -61,11 +61,10 @@ def gain_hat(z: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(z, y) / norm2)
 
 
-def _grid_angles(grid_step_deg: float) -> np.ndarray:
+def check_grid_step(grid_step_deg: float) -> None:
+    """Raise ValueError unless ``grid_step_deg`` is a usable grid step."""
     if not 0.0 < grid_step_deg <= 10.0:
-        raise ValueError("grid_step_deg must lie in (0, 10]")
-    n = int(round(180.0 / grid_step_deg)) + 1
-    return np.linspace(-90.0, 90.0, n)
+        raise ValueError(f"grid_step_deg must lie in (0, 10], got {grid_step_deg!r}")
 
 
 class ResponseGrid:
@@ -82,7 +81,8 @@ class ResponseGrid:
             raise ValueError("pilot length does not match schedule length")
         self.schedule = schedule
         self.symbols = pilots.symbols
-        self.angles_deg = _grid_angles(grid_step_deg)
+        check_grid_step(grid_step_deg)
+        self.angles_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_step_deg)) + 1)
         n = schedule.num_antennas
         # (grid x N) steering matrix, rows a(theta_j)
         steer = np.exp(

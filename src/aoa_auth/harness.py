@@ -160,19 +160,17 @@ def run_rmse_sweep(scenario: Scenario) -> list[dict]:
     if kind not in (AttackKind.CODE_BASED, AttackKind.LOCATION_BASED):
         raise ValueError("rmse sweep expects a code-based or location-based attack")
     schedule = scenario.schedule()
-    config = scenario.array_config()
     grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
-    sigma2 = noise_variance(config)
 
     rows = []
     for theta_e in scenario.eve_aoas_deg:
         pilots, _ = eve_pilots(scenario, schedule, kind, theta_e)
         for d_e in scenario.eve_distances_m:
-            base = received_signal(schedule, NodeGeometry(d_e, theta_e), pilots, config)
             # stream of trial k: derive_trial_rng(seed, "rmse", attack, theta_e, d_e, k)
             point = _entropy(scenario.master_seed, "rmse", scenario.attack, theta_e, d_e)
             rngs = (_stream(point + _label_words(k)) for k in range(scenario.trials))
-            ys = synthesize_observation(base, sigma2, scenario.trials, rngs)
+            geometry = NodeGeometry(d_e, theta_e)
+            ys = _frames(scenario, schedule, geometry, pilots, scenario.trials, rngs)
             estimates = grid.estimate_batch(ys)
             rows.append(
                 {

@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MEDIAN_HEURISTIC = "median-heuristic"
+# floor on the median pairwise squared distance, in deg^2; prevents
+# gamma -> inf when high SNR collapses the training estimates
+GAMMA_FLOOR_DEG2 = 0.0025
 
 
 @dataclass(frozen=True)
@@ -29,9 +32,6 @@ class OcsvmParams:
     gamma: float | str = MEDIAN_HEURISTIC
     solver_tol: float = 1e-6
     max_iters: int = 100_000
-    # floor on the median pairwise squared distance, in deg^2; prevents
-    # gamma -> inf when high SNR collapses the training estimates
-    gamma_floor_deg2: float = 0.0025
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
@@ -113,7 +113,7 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     if l < 2:
         raise ValueError("need at least 2 training samples")
     if isinstance(params.gamma, str):
-        gamma = median_heuristic_gamma(x, params.gamma_floor_deg2)
+        gamma = median_heuristic_gamma(x, GAMMA_FLOOR_DEG2)
     else:
         gamma = float(params.gamma)
 

@@ -52,10 +52,10 @@ class NodeGeometry:
     aoa_deg: float
 
     def __post_init__(self):
-        if self.distance_m <= 0:
-            raise ValueError("distance_m must be positive")
+        if not 0.0 < self.distance_m < np.inf:
+            raise ValueError(f"distance_m must be finite and positive, got {self.distance_m!r}")
         if not -90.0 < self.aoa_deg < 90.0:
-            raise ValueError("aoa_deg must lie in (-90, 90)")
+            raise ValueError(f"aoa_deg must lie in (-90, 90), got {self.aoa_deg!r}")
 
 
 def steering_vector(aoa_deg: float, n_antennas: int) -> np.ndarray:

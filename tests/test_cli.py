@@ -45,7 +45,8 @@ class TestEstimate:
         "flags, named",
         [(["--theta", "95"], "--theta"), (["--theta", "-90"], "--theta"),
          (["--theta", "nan"], "--theta"), (["--theta", "45", "--distance", "0"], "--distance"),
-         (["--theta", "45", "--distance", "inf"], "--distance")],
+         (["--theta", "45", "--distance", "inf"], "--distance"),
+         (["--theta", "45", "--distance", "nan"], "--distance")],
     )
     def test_bad_position_is_config_error(self, capsys, flags, named):
         assert main(["estimate", *flags]) == EXIT_CONFIG
@@ -235,6 +236,14 @@ class TestSweeps:
                    "--workers", "1"])
         assert rc == EXIT_CONFIG
         assert "train_size" in capsys.readouterr().err
+
+    def test_auth_sweep_single_test_sample_is_config_error(self, tmp_path, capsys):
+        # test_size // 2 frames per side: one sample leaves no legitimate test
+        cfg = write_config(tmp_path, test_size=1)
+        rc = main(["auth-sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                   "--workers", "1"])
+        assert rc == EXIT_CONFIG
+        assert "test_size" in capsys.readouterr().err
 
     def test_integer_sweep_entries_give_the_float_sweep(self, tmp_path):
         outputs = []

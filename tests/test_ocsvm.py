@@ -3,6 +3,7 @@ import pytest
 
 from aoa_auth import OcsvmParams, train
 from aoa_auth.ocsvm import (
+    GAMMA_FLOOR_DEG2,
     MEDIAN_HEURISTIC,
     OcsvmConvergenceError,
     kernel,
@@ -86,7 +87,7 @@ def _reference_train(x, params):
     """
     l = len(x)
     if isinstance(params.gamma, str):
-        gamma = _reference_median_gamma(x, params.gamma_floor_deg2)
+        gamma = _reference_median_gamma(x, GAMMA_FLOOR_DEG2)
     else:
         gamma = float(params.gamma)
     k_matrix = kernel(x[:, None], x[None, :], gamma)
