@@ -24,6 +24,8 @@ MEDIAN_HEURISTIC = "median-heuristic"
 # floor on the median pairwise squared distance, in deg^2; prevents
 # gamma -> inf when high SNR collapses the training estimates
 GAMMA_FLOOR_DEG2 = 0.0025
+# rows of the Gram matrix built per step, so that K is the only l x l array
+_GRAM_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,18 @@ def kernel(x, y, gamma: float):
         raise ValueError("gamma must be positive")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     return np.exp(-gamma * d * d)
+
+
+def _gram_matrix(x: np.ndarray, gamma: float) -> np.ndarray:
+    """``kernel(x[:, None], x[None, :], gamma)`` with the same operations in
+    the same order, built in row blocks."""
+    k = np.empty((len(x), len(x)))
+    for lo in range(0, len(x), _GRAM_ROWS):
+        d = x[lo : lo + _GRAM_ROWS, None] - x[None, :]
+        rows = np.multiply(-gamma, d, out=k[lo : lo + _GRAM_ROWS])
+        np.multiply(rows, d, out=rows)
+        np.exp(rows, out=rows)
+    return k
 
 
 def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
@@ -117,7 +131,7 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     else:
         gamma = float(params.gamma)
 
-    k_matrix = kernel(x[:, None], x[None, :], gamma)
+    k_matrix = _gram_matrix(x, gamma)
     c = 1.0 / (params.nu * l)
 
     # libsvm-style feasible start: the first floor(nu*l) weights at the box

@@ -44,7 +44,7 @@ VALID = {
     "gamma": st.just(MEDIAN_HEURISTIC) | real(1e-3, 1e3),
     "solver_tol": st.floats(1e-12, 1e-2),
     "max_iters": st.integers(1, 10**6),
-    "grid_step_deg": st.floats(0.0, 10.0, exclude_min=True) | st.integers(1, 10),
+    "grid_step_deg": real(0.001, 10.0),
 }
 
 
@@ -93,7 +93,8 @@ def test_every_field_is_coerced(field):
      for value in ("10", True, math.nan, math.inf, 16.5, 17.0)]
     + [(field, value) for field in FLOAT_FIELDS
        for value in ("0.05", True, math.nan, math.inf, -math.inf)]
-    + [("gamma", True), ("gamma", math.nan), ("test_size", 1)],
+    + [("gamma", True), ("gamma", math.nan), ("test_size", 1)]
+    + [("grid_step_deg", value) for value in (0.0, -0.05, 1e-6, 0.000999, 10.5)],
 )
 def test_validate_config_names_the_bad_field(tmp_path, capsys, field, value):
     path = tmp_path / "config.json"

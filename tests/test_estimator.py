@@ -17,7 +17,7 @@ from aoa_auth import (
     synthesize_observation,
 )
 
-from aoa_auth.estimator import _BLOCK_BYTES
+from aoa_auth.estimator import _BLOCK_BYTES, MIN_GRID_STEP_DEG, check_grid_step
 from oracles import naive_cost
 
 
@@ -156,8 +156,14 @@ class TestCostCurve:
         assert np.array_equal(data[:, 1], curve.costs)
 
     def test_rejects_bad_grid_step(self, setup):
-        with pytest.raises(ValueError):
-            cost_curve(setup, alice_obs(setup), grid_step_deg=0.0)
+        for step in (0.0, -1.0, 1e-6, 0.000999, 10.5, np.nan):
+            with pytest.raises(ValueError, match="grid_step_deg"):
+                cost_curve(setup, alice_obs(setup), grid_step_deg=step)
+
+    @pytest.mark.parametrize("step", [MIN_GRID_STEP_DEG, 0.005, 10.0])
+    def test_accepts_grid_step_bounds(self, step):
+        # the rule alone: a 0.001 deg grid would hold 180,001 responses
+        check_grid_step(step)
 
 
 class TestEstimateAoa:
@@ -337,3 +343,128 @@ class TestCostsMatchDenseExpression:
         assert np.array_equal(costs, _dense_costs(grid, ys))
         assert np.array_equal(costs[:, 1800], np.sum(np.abs(ys) ** 2, axis=1))
         assert np.array_equal(grid.costs(ys[0]), _dense_costs(grid, ys[:1])[0])
+
+
+def _chunked_dense_estimates(grid, ys, chunk=512):
+    # the dense reference in chunks of at most 512 rows (one dense pass over
+    # 20k frames at 0.05 deg holds 1.7 GB); no chunk has one row
+    assert len(ys) % chunk != 1
+    return np.concatenate([_dense_estimates(grid, ys[lo : lo + chunk]) for lo in range(0, len(ys), chunk)])
+
+
+def _mixed_frames(setup, seed):
+    # sweep-like groups of frames that share a source, so that many blocks
+    # prune: noise only, Alice-like signals at random angles and within 5 deg
+    # of +-90 deg at 10 m, 300 m and 3 km, code-based attack frames with two
+    # cost minima, and all-zero frames
+    sched, pilots, cfg = setup
+    rng = np.random.default_rng(seed)
+    sigma2 = noise_variance(cfg)
+    groups = []
+
+    def add(signal, count):
+        groups.append(synthesize_observation(signal, sigma2, count, rng))
+
+    for _ in range(12):
+        add(np.zeros(17, dtype=complex), int(rng.integers(2, 400)))
+    for dist in (10.0, 300.0, 3000.0):
+        for theta in np.r_[
+            rng.uniform(-89.99, 89.99, 60), rng.uniform(-89.99, -85.0, 10), rng.uniform(85.0, 89.99, 10)
+        ]:
+            add(received_signal(sched, NodeGeometry(dist, theta), pilots, cfg), int(rng.integers(2, 150)))
+    for theta in rng.uniform(-80.0, 80.0, 12):
+        attack, _ = code_based_attack(AttackContext(sched, pilots, 0.0, theta))
+        add(received_signal(sched, NodeGeometry(10.0, theta), attack, cfg), int(rng.integers(2, 200)))
+    zeros = np.zeros((96, 17), dtype=complex)
+    ys = np.concatenate(groups + [zeros[:48]])
+    ys = np.concatenate([ys[:5000], zeros[48:], ys[5000:]])
+    # a mixed tail: single frames from every group in random order
+    return np.concatenate([ys, rng.permutation(ys)[:1500]])
+
+
+class TestPrunedSearchExact:
+    # estimate_batch scores only the cells its bound keeps; these check that
+    # it still returns the dense search's angles bit for bit
+
+    @pytest.fixture(scope="class")
+    def frames(self, setup):
+        ys = _mixed_frames(setup, seed=91)
+        assert len(ys) >= 20_000
+        return ys
+
+    @pytest.mark.parametrize("step", [0.05, 0.1, 1.0])
+    def test_blas_windows_match_full_product(self, setup, step):
+        # the invariant the pruned search rests on: a window of columns
+        # starting on a 16-column boundary, 16k wide or ending at the last
+        # column, gets the bits of the full product
+        grid = ResponseGrid(*setup[:2], step)
+        rh = grid._responses_h
+        g = rh.shape[1]
+        rng = np.random.default_rng(93)
+        windows = [(lo, g) for lo in range(0, g - 1, 16)]
+        for _ in range(60):
+            width = 16 * int(rng.integers(1, min(25, g // 16) + 1))
+            lo = 16 * int(rng.integers(0, (g - width) // 16 + 1))
+            windows.append((lo, lo + width))
+        for rows in (1, 2, 3, 48, 150):
+            ys = rng.standard_normal((rows, 17)) + 1j * rng.standard_normal((rows, 17))
+            full = ys @ rh
+            for lo, hi in windows:
+                out = np.empty((rows, hi - lo), dtype=complex)
+                np.matmul(ys, rh[:, lo:hi], out=out)
+                assert np.array_equal(out, full[:, lo:hi]), (rows, lo, hi)
+
+    @pytest.mark.parametrize("step", [0.05, 0.1, 1.0])
+    def test_matches_dense_search(self, setup, frames, step):
+        grid = ResponseGrid(*setup[:2], step)
+        assert np.array_equal(grid.estimate_batch(frames), _chunked_dense_estimates(grid, frames))
+
+    @pytest.mark.parametrize("step", [0.05, 0.1, 1.0])
+    def test_matches_dense_search_with_zero_norm_column(self, step):
+        # the grid of TestCostsMatchDenseExpression.test_zero_norm_columns:
+        # the 0 deg column has zero norm and the norms vary 0 to 2 nearby
+        sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
+        grid = ResponseGrid(sched, PilotSequence([0.0, 1.0]), step)
+        assert np.count_nonzero(grid.norms2 == 0.0) == 1
+        rng = np.random.default_rng(94)
+        n = 20_000
+        ys = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        # frames along model responses, grouped, plus all-zero frames
+        cols = np.repeat(rng.integers(0, len(grid.angles_deg), n // 100), 100)
+        ys[: n // 2] = 0.01 * ys[: n // 2] + grid.responses[cols[: n // 2]]
+        ys[n // 2 : n // 2 + 100] = 0.0
+        assert np.array_equal(grid.estimate_batch(ys), _chunked_dense_estimates(grid, ys))
+
+    def test_signal_blocks_are_pruned(self, setup):
+        # not vacuous: one block of Alice's frames scores under a tenth of
+        # the grid, and noise-only frames keep most of it
+        sched, pilots, cfg = setup
+        grid = ResponseGrid(sched, pilots)
+        rng = np.random.default_rng(95)
+        signal = received_signal(sched, NodeGeometry(10.0, 20.0), pilots, cfg)
+        ys = synthesize_observation(signal, noise_variance(cfg), 48, rng)
+        g = len(grid.angles_deg)
+        prod, buf = np.empty(48 * g, dtype=complex), np.empty(48 * g)
+
+        def scored(frames):
+            runs = grid._live_runs(frames, prod, buf)
+            return np.sum(runs[:, 1] - runs[:, 0]) / g
+
+        assert scored(ys) < 0.1
+        assert scored(synthesize_observation(0.0 * signal, noise_variance(cfg), 48, rng)) > 0.5
+
+    @pytest.mark.parametrize("center", [1791, 1792, 1793])
+    def test_matches_dense_search_beside_a_norm_dip(self, center):
+        # A 2-antenna grid whose ||z||^2 dips to 4e-6 at 0 deg, the grid
+        # column ``center``, one column before, on or after a 16-column cell
+        # edge.  Frames along the first beam peak there, one column wide, so
+        # the neighbouring cell is kept only because its bound counts the
+        # dip column's norm.
+        eps = 1e-3
+        sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
+        grid = ResponseGrid(sched, PilotSequence([eps, np.sqrt(1.0 - eps**2)]), 90.0 / center)
+        assert len(grid.angles_deg) == 2 * center + 1
+        rng = np.random.default_rng(center)
+        ys = 1e-4 * (rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2)))
+        ys[:1500, 0] += np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1500))
+        assert np.array_equal(grid.estimate_batch(ys), _chunked_dense_estimates(grid, ys))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from aoa_auth.ocsvm import (
     GAMMA_FLOOR_DEG2,
     MEDIAN_HEURISTIC,
     OcsvmConvergenceError,
+    _gram_matrix,
     kernel,
     median_heuristic_gamma,
 )
@@ -36,6 +39,26 @@ class TestKernel:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
             kernel(0.0, 1.0, 0.0)
+
+    def test_gram_matrix_matches_kernel(self):
+        # train's row-block build has the bits of the broadcast kernel
+        rng = np.random.default_rng(11)
+        for l in (2, 63, 64, 65, 200, 1000):
+            x = rng.normal(0.0, 0.4, l)
+            for gamma in (0.37, 12.5, 200.0):
+                assert np.array_equal(_gram_matrix(x, gamma), kernel(x[:, None], x[None, :], gamma))
+
+    def test_gram_matrix_is_the_only_square_array(self):
+        # the broadcast kernel holds three l x l arrays at once (22.9 MB at
+        # l = 1000); the row-block build holds K and one block
+        x = np.random.default_rng(12).normal(0.0, 0.4, 1000)
+        tracemalloc.start()
+        try:
+            _gram_matrix(x, 0.37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * 1000**2
 
 
 class TestMedianHeuristic:
