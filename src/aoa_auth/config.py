@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -52,9 +53,17 @@ _COERCIONS = {
                     lambda v: [float(x) for x in v]),
 }
 
-# smallest usable value of each count field that no simulator object checks;
-# an auth sweep tests on test_size // 2 frames per side
-_MINIMUMS = {"num_probes": 2, "trials": 1, "train_size": 2, "test_size": 2, "repetitions": 1}
+# usable range of each count field that no simulator object checks.  An auth
+# sweep tests on test_size // 2 frames per side; an OCSVM fit on train_size
+# estimates holds a train_size^2 Gram matrix, 2 GiB at 16,384; one sweep point
+# holds trials (or test_size) frames, 272 MB at 10^6 of 17 probes.
+_LIMITS = {
+    "num_probes": (2, math.inf),
+    "trials": (1, 10**6),
+    "train_size": (2, 16_384),
+    "test_size": (2, 10**6),
+    "repetitions": (1, math.inf),
+}
 
 
 def node_geometry(distance_m, aoa_deg, distance_name: str, aoa_name: str) -> NodeGeometry:
@@ -107,9 +116,9 @@ class Scenario:
             if not accepts(value):
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
             setattr(self, f.name, coerce(value))
-        for name, minimum in _MINIMUMS.items():
-            if getattr(self, name) < minimum:
-                raise ConfigError(f"{name} must be >= {minimum}, got {getattr(self, name)!r}")
+        for name, (low, high) in _LIMITS.items():
+            if not low <= getattr(self, name) <= high:
+                raise ConfigError(f"{name} must be in [{low}, {high}], got {getattr(self, name)!r}")
         if not 0 <= self.master_seed < 2**64:
             # derive_trial_rng masks seeds to 64 bits: -1 would alias 2**64 - 1
             raise ConfigError(f"master_seed must be in [0, 2**64), got {self.master_seed!r}")

@@ -10,10 +10,12 @@ log-likelihood to
 The estimate is the argmin over a uniform grid spanning [-90, 90] followed by
 one parabolic refinement around the winning grid point.
 
-The search scores exactly only the grid cells that a bound cannot rule out.
-With a(theta) the steering vector and v = W^T (conj(s) * y), z(theta)^H y =
-a(theta)^H v is a degree-N trigonometric polynomial p(u) in u = sin(theta),
-so |dp/du| <= pi * sum_n n |v_n| bounds |z^H y| between scored nodes.
+The search scores exactly, in each frame, only the grid cells that the
+frame's own bound cannot rule out.  With a(theta) the steering vector and
+v = W^T (conj(s) * y), z(theta)^H y = a(theta)^H v is a degree-N
+trigonometric polynomial p(u) in u = sin(theta), so |p''| <= pi^2 sum_n n^2
+|v_n| bounds |z^H y| inside a cell through the error of linear interpolation
+between its nodes, and |p'| <= pi sum_n n |v_n| one column past them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .signal_model import PilotSequence, ProbeSchedule
 DEFAULT_GRID_STEP_DEG = 0.05
 # the finest grid: 180,001 angles, about 50 MB of responses
 MIN_GRID_STEP_DEG = 0.001
-# Bytes of product and cost rows per estimate_batch block (48 rows at 0.05 deg)
+# Scratch bytes of estimate_batch: three quarters for the products and costs
+# of the kept cells (36 whole rows at 0.05 deg), the rest for a block's tables
 _BLOCK_BYTES = 4 << 20
 # Columns per pruning cell.  OpenBLAS's zgemm (0.3.31, Haswell kernel) gives
 # every column of ys @ R[:, a:b] the bits of the full product when a is a
@@ -40,6 +43,12 @@ _CELL_COLUMNS = 16
 # the best node, which covers the rounding of the coarse pass and ties in
 # ||y||^2 - |z^H y|^2 / ||z||^2
 _PRUNE_MARGIN = 1e-12
+# A block scores the union of its rows' kept cells in every row when that is
+# at most this many times the pairs they keep: sharing the union spares the
+# reordering of the costs by row, and signal blocks keep all but a few of
+# their union's cells (1.0-1.15 times at the reference seed) where noise-only
+# blocks keep one cell in 14-23 of it.
+_UNION_SCORE = 1.25
 
 
 @dataclass(frozen=True)
@@ -124,16 +133,18 @@ class ResponseGrid:
         g = len(self.angles_deg)
         nodes = np.minimum(np.arange(0, g + _CELL_COLUMNS - 1, _CELL_COLUMNS), g - 1)
         self._nodes_h = np.ascontiguousarray(self._responses_h[:, nodes])
-        self._cell_edges = np.r_[nodes[:-1], g]
-        # v = W^T (conj(s) * y) = y @ _poly, and pi * sum_n n |v_n| = |v| @ _orders
+        # v = W^T (conj(s) * y) = y @ _poly; |v| @ _orders gives the bounds
+        # pi sum_n n |v_n| on |dp/du| and pi^2 sum_n n^2 |v_n| on |d2p/du2|
         self._poly = schedule.combiners * self.symbols.conj()[:, None]
-        self._orders = np.pi * np.arange(1, n + 1)
-        # farthest u = sin(theta) of a cell's stretched columns from its nearer node
+        orders = np.pi * np.arange(1, n + 1)
+        self._orders = np.stack([orders, orders**2], axis=1)
+        # |p| exceeds the larger node by at most h^2/8 |p''| inside a cell of
+        # width h in u = sin(theta) (linear interpolation's error), and by at
+        # most |p'| du on the one-column stretch du past either node
         u = np.sin(np.deg2rad(self.angles_deg))
         du = np.diff(u)
-        self._cell_reach = np.maximum.reduce(
-            [0.5 * np.diff(u[nodes]), np.r_[0.0, du][nodes[:-1]], np.r_[du, 0.0][nodes[1:]]]
-        )
+        self._cell_curvature = np.diff(u[nodes]) ** 2 / 8.0
+        self._cell_stretch = np.maximum(np.r_[0.0, du][nodes[:-1]], np.r_[du, 0.0][nodes[1:]])
         # 1 / (smallest non-zero ||z||^2 over each cell's stretched columns),
         # 0 where they are all zero; likewise per node
         nonzero = np.where(self.norms2 > 0.0, self.norms2, np.inf)
@@ -141,6 +152,16 @@ class ResponseGrid:
         lowest = np.minimum(np.minimum.reduceat(near, nodes[:-1]), near[nodes[1:]])
         self._inv_cell_norms2 = 1.0 / lowest
         self._inv_node_norms2 = 1.0 / nonzero[nodes]
+        # Slots: the grid padded to whole _CELL_COLUMNS-wide slots, slot k
+        # holding columns k * _CELL_COLUMNS onwards; slot k belongs to cell k,
+        # and any slot past the last cell to the last cell, which spans 17
+        # columns when the grid is 16j + 1 wide.  Padding columns score like
+        # zero-norm ones, as ||y||^2, after every real column of their row.
+        slots = -(-g // _CELL_COLUMNS)
+        pad = slots * _CELL_COLUMNS - g
+        self._slot_norms2 = np.r_[self._safe_norms2, np.ones(pad)].reshape(slots, _CELL_COLUMNS)
+        self._slot_orthogonal = np.r_[self._zero_norm, np.ones(pad, dtype=bool)].reshape(slots, _CELL_COLUMNS)
+        self._orthogonal_slots = self._slot_orthogonal.any(axis=1)
 
     @property
     def step_deg(self) -> float:
@@ -152,53 +173,142 @@ class ResponseGrid:
 
     def costs_batch(self, ys: np.ndarray) -> np.ndarray:
         """Cost matrix (batch x grid) for a batch of observation vectors."""
-        n, g = len(ys), len(self.angles_deg)
-        whole = np.array([[0, g]])
-        return self._costs_into(ys, whole, np.empty(n * g, dtype=complex), np.empty((n, g)))
-
-    def _costs_into(self, ys, runs, prod, costs):
-        """Costs at the grid columns of the (lo, hi) ``runs``, in order, into
-        the caller's (batch x columns) ``costs``; returns it.
-
-        Each run is one product into the flat scratch ``prod``, which must
-        hold batch x run-length entries.
-        """
-        rows, at = len(ys), 0
-        for lo, hi in runs.tolist():
-            span = prod[: rows * (hi - lo)].reshape(rows, hi - lo)
-            part = costs[:, at : at + hi - lo]
-            np.matmul(ys, self._responses_h[:, lo:hi], out=span)
-            np.abs(span, out=part)
-            np.square(part, out=part)
-            np.divide(part, self._safe_norms2[lo:hi], out=part)
-            part[:, self._zero_norm[lo:hi]] = 0.0
-            at += hi - lo
+        costs = np.abs(ys @ self._responses_h)
+        np.square(costs, out=costs)
+        np.divide(costs, self._safe_norms2, out=costs)
+        costs[:, self._zero_norm] = 0.0
         total = np.sum(np.abs(ys) ** 2, axis=1)
         return np.subtract(total[:, None], costs, out=costs)
 
-    def _live_runs(self, ys, prod, buf):
-        """The (lo, hi) column runs, in grid order, that may hold a row's
-        grid argmin or one of its neighbours: runs of whole cells, each kept
-        when its bound on |z^H y|^2 / ||z||^2 for some row comes within the
-        margin of that row's best node.  Works in the flat scratch ``prod``
-        and ``buf``."""
+    def _bounds(self, ys, prod, buf):
+        """Per-row bounds on |z^H y|^2 / ||z||^2 over each cell's stretched
+        columns (rows x cells), each row's best node less the pruning margin,
+        and each row's ||y||^2.  Works in the flat scratch ``prod`` (rows x
+        nodes complex entries) and ``buf`` (rows x (nodes + cells) floats);
+        the bounds are a view of ``buf``."""
         rows, m = len(ys), len(self._inv_node_norms2)
-        amp, proj = buf[: 2 * rows * m].reshape(2, rows, m)
-        bound, reach = buf[2 * rows * m : 2 * rows * (2 * m - 1)].reshape(2, rows, m - 1)
-        np.abs(np.matmul(ys, self._nodes_h, out=prod[: rows * m].reshape(rows, m)), out=amp)
-        np.multiply(amp, amp, out=proj)
+        nodes = prod[: rows * m].reshape(rows, m)
+        amp = buf[: rows * m].reshape(rows, m)
+        bound = buf[rows * m : rows * (2 * m - 1)].reshape(rows, m - 1)
+        np.abs(np.matmul(ys, self._nodes_h, out=nodes), out=amp)
+        # the node products are spent: their memory holds the float temporaries
+        spare = prod.view(np.float64)
+        proj = np.multiply(amp, amp, out=spare[: rows * m].reshape(rows, m))
         proj *= self._inv_node_norms2
         total = np.sum(np.abs(ys) ** 2, axis=1)
         best = np.max(proj, axis=1) - _PRUNE_MARGIN * total
-        slope = np.abs(ys @ self._poly) @ self._orders
+        slope, curve = (np.abs(ys @ self._poly) @ self._orders).T
+        slack, stretch = spare[: 2 * rows * (m - 1)].reshape(2, rows, m - 1)
+        np.multiply(curve[:, None], self._cell_curvature, out=slack)
+        np.multiply(slope[:, None], self._cell_stretch, out=stretch)
         np.maximum(amp[:, :-1], amp[:, 1:], out=bound)
-        np.multiply(slope[:, None], self._cell_reach, out=reach)
-        bound += reach
+        bound += np.maximum(slack, stretch, out=slack)
         bound *= bound
         bound *= self._inv_cell_norms2
-        # a NaN bound or best keeps the cell
-        live = np.concatenate(([False], ~np.all(bound < best[:, None], axis=0), [False]))
-        return self._cell_edges[np.flatnonzero(live[1:] != live[:-1])].reshape(-1, 2)
+        return bound, best, total
+
+    def _search(self, ys, keep, total, prod, buf, picked):
+        """Refined angles of the rows of ``ys``, scoring each row only in the
+        slots ``keep`` (rows x slots) marks for it.
+
+        Consecutive slots kept by the same rows form a run, scored as one
+        product on those rows: a slice of ``ys`` when every row keeps it, else
+        rows gathered into ``picked``, a lone row padded to two.  The runs'
+        products lie one after the other in the flat scratch ``prod``, which
+        has room for the kept slots plus two rows of slots.  Their costs, in
+        ``buf``, are then put in row order, each row's kept slots in grid
+        order, so that a row's argmin and its neighbours are adjacent.
+        """
+        rows, slots = keep.shape
+        g, w = len(self.angles_deg), _CELL_COLUMNS
+        by_slot = np.ascontiguousarray(keep.T)
+        starts = np.flatnonzero(np.any(by_slot[1:] != by_slot[:-1], axis=1)) + 1
+        lengths = np.diff(starts, prepend=0, append=slots)
+        starts = np.insert(starts, 0, 0)
+        # each run's rows, run by run: heads // rows is the run, heads % rows the row
+        heads = np.flatnonzero(by_slot[starts])
+        bounds = np.searchsorted(heads, rows * np.arange(len(starts) + 1))
+        counts = np.diff(bounds)
+        first = np.cumsum(counts * lengths) - counts * lengths
+        # the gathered runs' rows, a lone row twice, gathered into ``picked``
+        # as many runs at a time as it holds
+        gathered = (counts > 0) & (counts < rows)
+        taken = np.repeat(heads % rows, np.where(gathered, 1 + (counts == 1), 0)[heads // rows])
+        ends = np.cumsum(np.where(gathered, np.maximum(counts, 2), 0))
+        # when every row keeps the same slots, each run writes its columns of
+        # one (rows x kept columns) matrix; else the runs lie one after another
+        used, same = int(np.sum(counts * lengths)), bool(np.all(counts[counts > 0] == rows))
+        base, top = 0, 0
+        for lo, length, k, at, end in zip(starts.tolist(), lengths.tolist(), counts.tolist(), first.tolist(), ends.tolist()):
+            if k == rows:
+                a = ys
+            elif k:
+                if end > top:
+                    base, top = end - max(k, 2), min(len(taken), end - max(k, 2) + len(picked))
+                    np.take(ys, taken[base:top], axis=0, out=picked[: top - base], mode="clip")
+                a = picked[end - max(k, 2) - base : end - base]
+            else:
+                continue
+            stop = min((lo + length) * w, g)
+            if same:
+                span = prod[: used * w].reshape(rows, -1)[:, at // rows * w : (at // rows + length) * w]
+            else:
+                span = prod[at * w : (at + len(a) * length) * w].reshape(len(a), length * w)
+            np.matmul(a, self._responses_h[:, lo * w : stop], out=span[:, : stop - lo * w])
+        costs = np.abs(prod[: used * w], out=buf[: used * w])
+        np.square(costs, out=costs)
+        if same:
+            # the costs are already in row order: score them as costs_batch
+            # scores the whole grid
+            kept_slots = np.flatnonzero(keep[0])
+            costs = costs.reshape(rows, -1)
+            np.divide(costs, self._slot_norms2[kept_slots].ravel(), out=costs)
+            costs[:, self._slot_orthogonal[kept_slots].ravel()] = 0.0
+            np.subtract(total[:, None], costs, out=costs)
+            flat = np.argmin(costs, axis=1)
+            idx = w * kept_slots[flat // w] + flat % w
+            flat += np.arange(rows) * costs.shape[1]
+        else:
+            # put the costs in row order: the pair (r, k) lies in its run
+            # after the run's earlier rows' slots and r's earlier slots of
+            # the run.  The products are spent, so their memory takes the
+            # costs and then the norms.  Whole slots move as single void
+            # items, which np.take copies fastest.
+            kept_rows, kept_slots = np.divmod(np.flatnonzero(keep), slots)
+            run = np.searchsorted(starts, kept_slots, side="right") - 1
+            rank = np.searchsorted(heads, rows * run + kept_rows) - bounds[run]
+            order = first[run] + rank * lengths[run] + kept_slots - starts[run]
+            whole = np.dtype((np.void, w * costs.itemsize))
+            costs = np.take(costs.view(whole), order, out=prod.view(whole)[:used], mode="clip")
+            norms = np.take(self._slot_norms2.view(whole).ravel(), kept_slots, out=buf.view(whole)[:used], mode="clip")
+            costs = costs.view(np.float64).reshape(used, w)
+            np.divide(costs, norms.view(np.float64).reshape(used, w), out=costs)
+            fix = np.flatnonzero(self._orthogonal_slots[kept_slots])
+            costs[fix] = np.where(self._slot_orthogonal[kept_slots[fix]], 0.0, costs[fix])
+            np.subtract(total[kept_rows][:, None], costs, out=costs)
+            # each row's first minimum, as a dense argmin: its first cost
+            # equal to the row's least, or its first NaN; found by slot
+            # (16 flags are two words), then within the slot
+            row_first = np.searchsorted(kept_rows, np.arange(rows))
+            row_low = np.minimum.reduceat(costs.ravel(), w * row_first)
+            hit = np.equal(costs, row_low[kept_rows][:, None])
+            if np.isnan(row_low).any():
+                hit |= np.isnan(costs)
+            words = hit.view(np.uint64)
+            hits = np.flatnonzero(words[:, 0] | words[:, 1])
+            at = hits[np.searchsorted(hits, row_first)]
+            flat = w * at + np.argmax(hit[at], axis=1)
+            idx = w * kept_slots[at] + flat % w
+        costs = costs.ravel()
+        theta = self.angles_deg[idx]
+        inner = np.flatnonzero((idx > 0) & (idx < g - 1))
+        cm, c0, cp = (costs[flat[inner] + k] for k in (-1, 0, 1))
+        denom = cm - 2.0 * c0 + cp
+        ok = denom > 0.0
+        offset = np.zeros(len(inner))
+        offset[ok] = np.clip(0.5 * (cm[ok] - cp[ok]) / denom[ok], -0.5, 0.5)
+        theta[inner] = theta[inner] + offset * self.step_deg
+        return theta
 
     def estimate(self, y: np.ndarray) -> AoaEstimate:
         """The :meth:`estimate_batch` angle of one frame, with the exact
@@ -212,35 +322,49 @@ class ResponseGrid:
         """Refined angle estimates for a batch of observations: the grid
         argmin (lowest angle wins ties) plus one parabolic refinement.
 
-        Returns only the angles.  Scored in cache-sized row blocks; a one-row
-        tail joins the block before it, as a one-row product takes BLAS's
-        matrix-vector path and rounds differently.  Each block scores only
-        the cells that some row's bound keeps, with the bits of the dense
-        costs there, so the argmin and its neighbours are the dense ones.
+        Returns only the angles.  Each row scores exactly only the cells its
+        own bound keeps, or its block's union of them when that is barely
+        more, with the bits of the dense costs there, so that its argmin and
+        the argmin's neighbours are the dense ones.  Rows are bounded in
+        steps, then scored in parts of whole rows whose kept cells fit the
+        scratch.
         """
-        n, g = len(ys), len(self.angles_deg)
-        block = max(2, _BLOCK_BYTES // (24 * g))
-        bounds = [lo for lo in range(0, n, block) if lo == 0 or n - lo > 1] + [n]
-        prod = np.empty(min(n, block + 1) * g, dtype=complex)
-        buf = np.empty(len(prod))
+        n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._inv_cell_norms2)
+        # Scratch for the products and costs of ``budget`` kept entries, a
+        # quarter of _BLOCK_BYTES being left for the block's tables.  The
+        # coarse pass bounds ``step`` rows at a time in the same memory, and
+        # a block of up to four steps shares one scoring.  A one-row tail
+        # joins the block or part before it, as a one-row product takes
+        # BLAS's matrix-vector path and rounds differently.
+        budget = max(2, _BLOCK_BYTES // (32 * slots * w)) * slots * w
+        step = max(2, budget // (cells + len(self._inv_node_norms2)))
+        blocks = [lo for lo in range(0, n, 4 * step) if lo == 0 or n - lo > 1] + [n]
+        prod = np.empty(budget + 2 * slots * w, dtype=complex)
+        buf = np.empty(budget + slots * w)
+        keep = np.empty((min(n, 4 * step + 1), slots), dtype=bool)
+        total = np.empty(len(keep))
+        picked = np.empty((max(2, len(keep)), ys.shape[1]), dtype=ys.dtype)
         out = np.empty(n)
-        for lo, hi in zip(bounds, bounds[1:]):
-            runs = self._live_runs(ys[lo:hi], prod, buf)
-            ends = np.cumsum(runs[:, 1] - runs[:, 0])
-            costs = buf[: (hi - lo) * ends[-1]].reshape(hi - lo, ends[-1])
-            self._costs_into(ys[lo:hi], runs, prod, costs)
-            at = np.argmin(costs, axis=1)
-            # the grid column of each compact argmin
-            run = np.searchsorted(ends, at, side="right")
-            idx = at + (runs[run, 1] - ends[run])
-            theta = self.angles_deg[idx]
-            rows = np.nonzero((idx > 0) & (idx < g - 1))[0]
-            ii = at[rows]
-            cm, c0, cp = (costs[rows, ii + k] for k in (-1, 0, 1))
-            denom = cm - 2.0 * c0 + cp
-            ok = denom > 0.0
-            offset = np.zeros(len(rows))
-            offset[ok] = np.clip(0.5 * (cm[ok] - cp[ok]) / denom[ok], -0.5, 0.5)
-            theta[rows] = theta[rows] + offset * self.step_deg
-            out[lo:hi] = theta
+        for lo, hi in zip(blocks, blocks[1:]):
+            rows = hi - lo
+            kept = keep[:rows]
+            for a in range(0, rows, step):
+                b = min(rows, a + step)
+                bound, best, total[a:b] = self._bounds(ys[lo + a : lo + b], prod, buf)
+                np.less(bound, best[:, None], out=kept[a:b, :cells])
+            # a NaN bound or best keeps the cell; slots past the last cell
+            # follow it
+            kept[:, cells:] = kept[:, cells - 1 : cells]
+            np.logical_not(kept, out=kept)
+            union = np.any(kept, axis=0)
+            if rows * np.count_nonzero(union) <= _UNION_SCORE * np.count_nonzero(kept):
+                kept[:] = union
+            # parts of whole rows: rows a to b - 1 keep ends[b] - ends[a] slots
+            ends = np.r_[0, np.cumsum(np.count_nonzero(kept, axis=1))]
+            a = 0
+            while a < rows:
+                b = max(a + 1, int(np.searchsorted(ends, ends[a] + budget // w, side="right")) - 1)
+                b += b == rows - 1
+                out[lo + a : lo + b] = self._search(ys[lo + a : lo + b], kept[a:b], total[a:b], prod, buf, picked)
+                a = b
         return out

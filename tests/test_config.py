@@ -36,7 +36,7 @@ VALID = {
     "eve_aoas_deg": st.lists(real(-89.5, 89.5), min_size=1, max_size=4),
     "attack": st.sampled_from([k.value for k in AttackKind]),
     "trials": st.integers(1, 10**6),
-    "train_size": st.integers(2, 10**6),
+    "train_size": st.integers(2, 16_384),
     "test_size": st.integers(2, 10**6),
     "repetitions": st.integers(1, 100),
     "master_seed": st.integers(0, 2**64 - 1),
@@ -94,6 +94,8 @@ def test_every_field_is_coerced(field):
     + [(field, value) for field in FLOAT_FIELDS
        for value in ("0.05", True, math.nan, math.inf, -math.inf)]
     + [("gamma", True), ("gamma", math.nan), ("test_size", 1)]
+    + [("train_size", 16_385), ("train_size", 10**9), ("trials", 10**6 + 1), ("trials", 10**12),
+       ("test_size", 10**6 + 1)]
     + [("grid_step_deg", value) for value in (0.0, -0.05, 1e-6, 0.000999, 10.5)],
 )
 def test_validate_config_names_the_bad_field(tmp_path, capsys, field, value):

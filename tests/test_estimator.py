@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from aoa_auth import (
     synthesize_observation,
 )
 
-from aoa_auth.estimator import _BLOCK_BYTES, MIN_GRID_STEP_DEG, check_grid_step
+from aoa_auth.estimator import _BLOCK_BYTES, _CELL_COLUMNS, MIN_GRID_STEP_DEG, check_grid_step
 from oracles import naive_cost
 
 
@@ -396,7 +398,9 @@ class TestPrunedSearchExact:
     def test_blas_windows_match_full_product(self, setup, step):
         # the invariant the pruned search rests on: a window of columns
         # starting on a 16-column boundary, 16k wide or ending at the last
-        # column, gets the bits of the full product
+        # column, gets the bits of the full product, for a slice of the
+        # batch's rows and for any two or more rows gathered from it (one
+        # row repeated to make two), also written into a wider output row
         grid = ResponseGrid(*setup[:2], step)
         rh = grid._responses_h
         g = rh.shape[1]
@@ -406,13 +410,24 @@ class TestPrunedSearchExact:
             width = 16 * int(rng.integers(1, min(25, g // 16) + 1))
             lo = 16 * int(rng.integers(0, (g - width) // 16 + 1))
             windows.append((lo, lo + width))
+
+        def check(ys, full, rows, windows):
+            for lo, hi in windows:
+                out = np.empty((len(rows), -(-(hi - lo) // 16) * 16), dtype=complex)
+                np.matmul(ys[rows], rh[:, lo:hi], out=out[:, : hi - lo])
+                assert np.array_equal(out[:, : hi - lo], full[rows][:, lo:hi]), (len(rows), lo, hi)
+
         for rows in (1, 2, 3, 48, 150):
             ys = rng.standard_normal((rows, 17)) + 1j * rng.standard_normal((rows, 17))
-            full = ys @ rh
-            for lo, hi in windows:
-                out = np.empty((rows, hi - lo), dtype=complex)
-                np.matmul(ys, rh[:, lo:hi], out=out)
-                assert np.array_equal(out, full[:, lo:hi]), (rows, lo, hi)
+            check(ys, ys @ rh, np.arange(rows), windows)
+        ys = rng.standard_normal((512, 17)) + 1j * rng.standard_normal((512, 17))
+        full = ys @ rh
+        for size in [*range(2, 70), 100, 255, 256, 257, 511]:
+            rows = np.sort(rng.choice(512, size, replace=False))
+            picks = rng.choice(len(windows), 6, replace=False)
+            check(ys, full, rows, [windows[0], windows[-1]] + [windows[i] for i in picks])
+        for row in rng.choice(512, 4, replace=False):
+            check(ys, full, np.array([row, row]), windows)
 
     @pytest.mark.parametrize("step", [0.05, 0.1, 1.0])
     def test_matches_dense_search(self, setup, frames, step):
@@ -436,22 +451,23 @@ class TestPrunedSearchExact:
         assert np.array_equal(grid.estimate_batch(ys), _chunked_dense_estimates(grid, ys))
 
     def test_signal_blocks_are_pruned(self, setup):
-        # not vacuous: one block of Alice's frames scores under a tenth of
-        # the grid, and noise-only frames keep most of it
+        # not vacuous: each row of 48 signal frames and of 48 noise-only
+        # frames keeps under a tenth of the grid on average, and a row with
+        # nothing to go on keeps every cell
         sched, pilots, cfg = setup
         grid = ResponseGrid(sched, pilots)
         rng = np.random.default_rng(95)
         signal = received_signal(sched, NodeGeometry(10.0, 20.0), pilots, cfg)
-        ys = synthesize_observation(signal, noise_variance(cfg), 48, rng)
         g = len(grid.angles_deg)
-        prod, buf = np.empty(48 * g, dtype=complex), np.empty(48 * g)
+        widths = np.diff(np.r_[_nodes(g)[:-1], g])
 
-        def scored(frames):
-            runs = grid._live_runs(frames, prod, buf)
-            return np.sum(runs[:, 1] - runs[:, 0]) / g
+        def kept(frames):
+            bound, best, _ = _bounds(grid, frames)
+            return ~(bound < best[:, None]) @ widths / g
 
-        assert scored(ys) < 0.1
-        assert scored(synthesize_observation(0.0 * signal, noise_variance(cfg), 48, rng)) > 0.5
+        assert kept(synthesize_observation(signal, noise_variance(cfg), 48, rng)).mean() < 0.1
+        assert kept(synthesize_observation(0.0 * signal, noise_variance(cfg), 48, rng)).mean() < 0.1
+        assert np.all(kept(np.zeros((48, 17), dtype=complex)) == 1.0)
 
     @pytest.mark.parametrize("center", [1791, 1792, 1793])
     def test_matches_dense_search_beside_a_norm_dip(self, center):
@@ -468,3 +484,92 @@ class TestPrunedSearchExact:
         ys = 1e-4 * (rng.standard_normal((2000, 2)) + 1j * rng.standard_normal((2000, 2)))
         ys[:1500, 0] += np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 1500))
         assert np.array_equal(grid.estimate_batch(ys), _chunked_dense_estimates(grid, ys))
+
+
+def _nodes(g):
+    # the pruning nodes: every 16th grid column and the last one
+    return np.minimum(np.arange(0, g + _CELL_COLUMNS - 1, _CELL_COLUMNS), g - 1)
+
+
+def _bounds(grid, ys):
+    # the per-row cell bounds of the coarse pass, in scratch of its own
+    g = len(grid.angles_deg)
+    return grid._bounds(ys, np.empty(len(ys) * g, dtype=complex), np.empty(len(ys) * g))
+
+
+def _two_tone_frames(grid, u_peaks):
+    # frames with v = W^T (conj(s) * y) = (e^{i pi u0}, 0, ..., 0, e^{i pi N u0}):
+    # |p(u)| = 2 |cos(pi (N - 1) (u - u0) / 2)| peaks at u0 and bends and
+    # rises about as sharply as N tones can for their sum of n^2 |v_n|
+    n = grid._poly.shape[1]
+    v = np.zeros((len(u_peaks), n), dtype=complex)
+    v[:, 0], v[:, -1] = np.exp(1j * np.pi * u_peaks), np.exp(1j * np.pi * n * u_peaks)
+    return np.linalg.lstsq(grid._poly.T, v.T, rcond=None)[0].T
+
+
+class TestCellBoundSoundness:
+    # the theory the pruning rests on, checked against the dense costs: for
+    # every cell, |z^H y|^2 / ||z||^2 at each column from one before its
+    # first node to one past its second is at most the cell's bound
+
+    @staticmethod
+    def check(grid, ys):
+        bound, _, _ = _bounds(grid, ys)
+        proj = np.abs(ys @ grid._responses_h) ** 2 / np.where(grid.norms2 > 0.0, grid.norms2, 1.0)
+        proj[:, grid.norms2 == 0.0] = 0.0
+        nodes = _nodes(len(grid.angles_deg))
+        for c, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
+            worst = proj[:, max(a - 1, 0) : b + 2].max(axis=1)
+            assert np.all(worst <= bound[:, c] * (1.0 + 1e-12)), (c, np.max(worst / bound[:, c]))
+
+    @pytest.mark.parametrize("step", [0.05, 1.0])
+    def test_schedule_grid(self, setup, step):
+        sched, pilots, cfg = setup
+        grid = ResponseGrid(sched, pilots, step)
+        rng = np.random.default_rng(96)
+        sigma2 = noise_variance(cfg)
+        u = np.sin(np.deg2rad(grid.angles_deg))
+        frames = [
+            rng.standard_normal((100, 17)) + 1j * rng.standard_normal((100, 17)),
+            synthesize_observation(np.zeros(17, dtype=complex), sigma2, 100, rng),
+            _two_tone_frames(grid, np.r_[u[::7], rng.uniform(-1.0, 1.0, 200)]),
+        ]
+        for theta in np.r_[rng.uniform(-5.0, 5.0, 20), rng.uniform(85.0, 89.99, 20), -rng.uniform(85.0, 89.99, 20)]:
+            for dist in (10.0, 300.0):
+                signal = received_signal(sched, NodeGeometry(dist, theta), pilots, cfg)
+                frames.append(synthesize_observation(signal, sigma2, 3, rng))
+        self.check(grid, np.concatenate(frames))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_two_antenna_grids(self, eps):
+        # the zero-norm grid of test_zero_norm_columns (eps = 0) and the
+        # norm-dip grid of test_matches_dense_search_beside_a_norm_dip
+        sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
+        grid = ResponseGrid(sched, PilotSequence([eps, np.sqrt(1.0 - eps**2)]))
+        rng = np.random.default_rng(97)
+        ys = rng.standard_normal((600, 2)) + 1j * rng.standard_normal((600, 2))
+        ys[:300] = 0.01 * ys[:300] + grid.responses[rng.integers(0, len(grid.angles_deg), 300)]
+        ys[300:400, 0] += np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 100))
+        self.check(grid, ys)
+
+
+def test_estimate_batch_scratch_stays_within_budget(setup):
+    # tracemalloc sees numpy's buffers: 512 noise-only, signal or all-zero
+    # frames at the default step (all-zero rows keep every cell) take at
+    # most 4.5 MiB at the peak
+    sched, pilots, cfg = setup
+    grid = ResponseGrid(sched, pilots)
+    rng = np.random.default_rng(98)
+    signal = received_signal(sched, NodeGeometry(10.0, 20.0), pilots, cfg)
+    for ys in (
+        synthesize_observation(0.0 * signal, noise_variance(cfg), 512, rng),
+        synthesize_observation(signal, noise_variance(cfg), 512, rng),
+        np.zeros((512, 17), dtype=complex),
+    ):
+        tracemalloc.start()
+        try:
+            grid.estimate_batch(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20, peak
