@@ -38,16 +38,19 @@ _BLOCK_BYTES = 4 << 20
 # multiple of 16 and b - a is a multiple of 16, or b is the last column and
 # b - a >= 2 (one column takes the matrix-vector path), so runs of cells can
 # be scored apart from the rest of the grid; tests/test_estimator.py checks it.
+# The search reads a slot's flags as whole 8-byte words, so it is a multiple of 8.
 _CELL_COLUMNS = 16
 # a cell is pruned when its bound lies this far (relative to ||y||^2) below
 # the best node, which covers the rounding of the coarse pass and ties in
 # ||y||^2 - |z^H y|^2 / ||z||^2
 _PRUNE_MARGIN = 1e-12
 # A block scores the union of its rows' kept cells in every row when that is
-# at most this many times the pairs they keep: sharing the union spares the
-# reordering of the costs by row, and signal blocks keep all but a few of
-# their union's cells (1.0-1.15 times at the reference seed) where noise-only
-# blocks keep one cell in 14-23 of it.
+# at most this many times the pairs they keep, so that its products are one
+# (rows x kept columns) matrix scored like costs_batch's, with no reordering
+# by row.  Signal blocks keep all but a few of their union's cells (1.0-1.15
+# times at the reference seed), noise-only blocks one cell in 14-23 of it.
+# Scoring such blocks by row instead costs 20-30% more time on signal
+# batches and 1.5 MB more peak RSS on the auth-far benchmark (BENCH_10.json).
 _UNION_SCORE = 1.25
 
 
@@ -222,22 +225,23 @@ class ResponseGrid:
         rows, slots = keep.shape
         g, w = len(self.angles_deg), _CELL_COLUMNS
         by_slot = np.ascontiguousarray(keep.T)
-        starts = np.flatnonzero(np.any(by_slot[1:] != by_slot[:-1], axis=1)) + 1
-        lengths = np.diff(starts, prepend=0, append=slots)
-        starts = np.insert(starts, 0, 0)
+        edges = np.flatnonzero(np.concatenate(([True], np.any(by_slot[1:] != by_slot[:-1], axis=1), [True])))
+        starts, lengths = edges[:-1], np.diff(edges)
         # each run's rows, run by run: heads // rows is the run, heads % rows the row
         heads = np.flatnonzero(by_slot[starts])
         bounds = np.searchsorted(heads, rows * np.arange(len(starts) + 1))
         counts = np.diff(bounds)
-        first = np.cumsum(counts * lengths) - counts * lengths
+        sizes = counts * lengths
+        first = np.cumsum(sizes) - sizes
+        used = int(np.sum(sizes))
+        # when every row keeps the same slots, each run writes its columns of
+        # one (rows x kept columns) matrix; else the runs lie one after another
+        same = bool(np.all(counts[counts > 0] == rows))
         # the gathered runs' rows, a lone row twice, gathered into ``picked``
         # as many runs at a time as it holds
         gathered = (counts > 0) & (counts < rows)
         taken = np.repeat(heads % rows, np.where(gathered, 1 + (counts == 1), 0)[heads // rows])
         ends = np.cumsum(np.where(gathered, np.maximum(counts, 2), 0))
-        # when every row keeps the same slots, each run writes its columns of
-        # one (rows x kept columns) matrix; else the runs lie one after another
-        used, same = int(np.sum(counts * lengths)), bool(np.all(counts[counts > 0] == rows))
         base, top = 0, 0
         for lo, length, k, at, end in zip(starts.tolist(), lengths.tolist(), counts.tolist(), first.tolist(), ends.tolist()):
             if k == rows:
@@ -275,9 +279,9 @@ class ResponseGrid:
             # costs and then the norms.  Whole slots move as single void
             # items, which np.take copies fastest.
             kept_rows, kept_slots = np.divmod(np.flatnonzero(keep), slots)
-            run = np.searchsorted(starts, kept_slots, side="right") - 1
+            run = np.repeat(np.arange(len(starts)), lengths)[kept_slots]
             rank = np.searchsorted(heads, rows * run + kept_rows) - bounds[run]
-            order = first[run] + rank * lengths[run] + kept_slots - starts[run]
+            order = (first - starts)[run] + rank * lengths[run] + kept_slots
             whole = np.dtype((np.void, w * costs.itemsize))
             costs = np.take(costs.view(whole), order, out=prod.view(whole)[:used], mode="clip")
             norms = np.take(self._slot_norms2.view(whole).ravel(), kept_slots, out=buf.view(whole)[:used], mode="clip")
@@ -287,15 +291,16 @@ class ResponseGrid:
             costs[fix] = np.where(self._slot_orthogonal[kept_slots[fix]], 0.0, costs[fix])
             np.subtract(total[kept_rows][:, None], costs, out=costs)
             # each row's first minimum, as a dense argmin: its first cost
-            # equal to the row's least, or its first NaN; found by slot
-            # (16 flags are two words), then within the slot
+            # equal to the row's least, or its first NaN; found by slot (its
+            # flags read as w // 8 words, which takes less memory than
+            # listing every tie of a flat row), then within the slot
             row_first = np.searchsorted(kept_rows, np.arange(rows))
             row_low = np.minimum.reduceat(costs.ravel(), w * row_first)
             hit = np.equal(costs, row_low[kept_rows][:, None])
             if np.isnan(row_low).any():
                 hit |= np.isnan(costs)
-            words = hit.view(np.uint64)
-            hits = np.flatnonzero(words[:, 0] | words[:, 1])
+            words = np.ascontiguousarray(hit.view(np.uint64).T)
+            hits = np.flatnonzero(np.bitwise_or.reduce(words, axis=0))
             at = hits[np.searchsorted(hits, row_first)]
             flat = w * at + np.argmax(hit[at], axis=1)
             idx = w * kept_slots[at] + flat % w
@@ -318,6 +323,17 @@ class ResponseGrid:
         h = gain_hat(z, y)
         return AoaEstimate(theta, float(np.sum(np.abs(y - h * z) ** 2)), h)
 
+    def _block_shape(self, ys):
+        """The kept entries a part scores at most, the rows of one block and
+        the rows of one coarse step: a step's bounds fit the scratch of
+        ``budget`` entries, and a block of four steps gathers rows of ``ys``
+        into at most an eighth of _BLOCK_BYTES."""
+        slots, w = self._slot_norms2.shape
+        budget = max(2, _BLOCK_BYTES // (32 * slots * w)) * slots * w
+        nodes = len(self._inv_node_norms2)
+        step = max(2, min(budget // (2 * nodes - 1), _BLOCK_BYTES // 32 // (ys.itemsize * ys.shape[1])))
+        return budget, 4 * step, step
+
     def estimate_batch(self, ys: np.ndarray) -> np.ndarray:
         """Refined angle estimates for a batch of observations: the grid
         argmin (lowest angle wins ties) plus one parabolic refinement.
@@ -330,18 +346,16 @@ class ResponseGrid:
         scratch.
         """
         n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._inv_cell_norms2)
-        # Scratch for the products and costs of ``budget`` kept entries, a
-        # quarter of _BLOCK_BYTES being left for the block's tables.  The
-        # coarse pass bounds ``step`` rows at a time in the same memory, and
-        # a block of up to four steps shares one scoring.  A one-row tail
-        # joins the block or part before it, as a one-row product takes
-        # BLAS's matrix-vector path and rounds differently.
-        budget = max(2, _BLOCK_BYTES // (32 * slots * w)) * slots * w
-        step = max(2, budget // (cells + len(self._inv_node_norms2)))
-        blocks = [lo for lo in range(0, n, 4 * step) if lo == 0 or n - lo > 1] + [n]
+        # Scratch for the products and costs of ``budget`` kept entries.  A
+        # block's rows are bounded ``step`` rows at a time in the same
+        # memory, then scored together.  A one-row tail joins the block or
+        # part before it, as a one-row product takes BLAS's matrix-vector
+        # path and rounds differently.
+        budget, block, step = self._block_shape(ys)
+        blocks = [lo for lo in range(0, n, block) if lo == 0 or n - lo > 1] + [n]
         prod = np.empty(budget + 2 * slots * w, dtype=complex)
         buf = np.empty(budget + slots * w)
-        keep = np.empty((min(n, 4 * step + 1), slots), dtype=bool)
+        keep = np.empty((min(n, block + 1), slots), dtype=bool)
         total = np.empty(len(keep))
         picked = np.empty((max(2, len(keep)), ys.shape[1]), dtype=ys.dtype)
         out = np.empty(n)

@@ -19,7 +19,7 @@ from aoa_auth import (
     synthesize_observation,
 )
 
-from aoa_auth.estimator import _BLOCK_BYTES, _CELL_COLUMNS, MIN_GRID_STEP_DEG, check_grid_step
+from aoa_auth.estimator import _CELL_COLUMNS, MIN_GRID_STEP_DEG, check_grid_step
 from oracles import naive_cost
 
 
@@ -285,14 +285,30 @@ class TestEstimateBatchBlocking:
 
     @pytest.fixture(scope="class")
     def block(self, grid):
-        block = _BLOCK_BYTES // (24 * len(grid.angles_deg))
-        assert 2 < block < 150
+        # the rows estimate_batch bounds and scores as one block
+        block = grid._block_shape(np.empty((1, 17), dtype=complex))[1]
+        assert block > 2
         return block
 
     def test_matches_dense_reference(self, grid, block):
-        sizes = [1, 2, block - 1, block, block + 1, 2 * block + 1, 150, 512, 1000]
-        for n in sizes:
+        for n in [1, 2, 47, 48, 49, 97, 150, 512, 1000]:
             ys = _frames(grid, n, seed=n)
+            assert np.array_equal(grid.estimate_batch(ys), _dense_estimates(grid, ys)), n
+        for n in [block - 1, block, block + 1, 2 * block + 1]:
+            ys = _frames(grid, n, seed=n)
+            assert np.array_equal(grid.estimate_batch(ys), _chunked_dense_estimates(grid, ys)), n
+
+    def test_parts_of_rows_keeping_every_cell(self, grid):
+        # all-zero rows keep every cell, so a block is scored in parts of the
+        # rows whose whole grid fits the scratch (36 at 0.05 deg); k parts
+        # and one such row leave a one-row tail, which joins the part before
+        budget = grid._block_shape(np.empty((1, 17), dtype=complex))[0]
+        part = budget // grid._slot_norms2.size
+        assert part > 2
+        for n in (part + 1, 2 * part + 1):
+            ys = np.zeros((n, 17), dtype=complex)
+            assert np.array_equal(grid.estimate_batch(ys), _dense_estimates(grid, ys)), n
+            ys = np.concatenate([ys, _frames(grid, 2 * part, seed=n)])
             assert np.array_equal(grid.estimate_batch(ys), _dense_estimates(grid, ys)), n
 
     def test_sub_batches_join_to_whole(self, grid, block):
@@ -553,18 +569,21 @@ class TestCellBoundSoundness:
         self.check(grid, ys)
 
 
-def test_estimate_batch_scratch_stays_within_budget(setup):
-    # tracemalloc sees numpy's buffers: 512 noise-only, signal or all-zero
-    # frames at the default step (all-zero rows keep every cell) take at
-    # most 4.5 MiB at the peak
+@pytest.mark.parametrize("step", [0.05, 1.0])
+def test_estimate_batch_scratch_stays_within_budget(setup, step):
+    # tracemalloc sees numpy's buffers: noise-only, signal or all-zero
+    # frames (all-zero rows keep every cell) take at most 4.5 MiB at the
+    # peak, 512 of them at the default step and more than two blocks at
+    # the coarse step, whose blocks hold more rows
     sched, pilots, cfg = setup
-    grid = ResponseGrid(sched, pilots)
+    grid = ResponseGrid(sched, pilots, step)
+    n = 512 if step == 0.05 else 2 * grid._block_shape(np.empty((1, 17), dtype=complex))[1] + 1
     rng = np.random.default_rng(98)
     signal = received_signal(sched, NodeGeometry(10.0, 20.0), pilots, cfg)
     for ys in (
-        synthesize_observation(0.0 * signal, noise_variance(cfg), 512, rng),
-        synthesize_observation(signal, noise_variance(cfg), 512, rng),
-        np.zeros((512, 17), dtype=complex),
+        synthesize_observation(0.0 * signal, noise_variance(cfg), n, rng),
+        synthesize_observation(signal, noise_variance(cfg), n, rng),
+        np.zeros((n, 17), dtype=complex),
     ):
         tracemalloc.start()
         try:
