@@ -11,11 +11,10 @@ The estimate is the argmin over a uniform grid spanning [-90, 90] followed by
 one parabolic refinement around the winning grid point.
 
 The search scores exactly, in each frame, only the grid cells that the
-frame's own bound cannot rule out.  With a(theta) the steering vector and
-v = W^T (conj(s) * y), z(theta)^H y = a(theta)^H v is a degree-N
-trigonometric polynomial p(u) in u = sin(theta), so |p''| <= pi^2 sum_n n^2
-|v_n| bounds |z^H y| inside a cell through the error of linear interpolation
-between its nodes, and |p'| <= pi sum_n n |v_n| one column past them.
+frame's own bound cannot rule out.  With zh = z / ||z||, every column of a
+cell is the chord between its nodes' zh plus a residual e (a column one past
+a node: that node's zh plus a step e), so |zh^H y| <= max over the nodes of
+|zh^H y| + max ||e|| * ||y||, where max ||e|| is read off the grid itself.
 """
 
 from __future__ import annotations
@@ -30,8 +29,10 @@ from .signal_model import PilotSequence, ProbeSchedule
 DEFAULT_GRID_STEP_DEG = 0.05
 # the finest grid: 180,001 angles, about 50 MB of responses
 MIN_GRID_STEP_DEG = 0.001
-# Scratch bytes of estimate_batch: three quarters for the products and costs
-# of the kept cells (36 whole rows at 0.05 deg), the rest for a block's tables
+# Scratch bytes of estimate_batch: a sixteenth for a block's keep table and
+# gathered rows (526 rows at 0.05 deg), the rest at 32 bytes a kept entry,
+# in whole grid rows (33 at 0.05 deg), for a part's products and costs (24)
+# and index tables (under 8)
 _BLOCK_BYTES = 4 << 20
 # Columns per pruning cell.  OpenBLAS's zgemm (0.3.31, Haswell kernel) gives
 # every column of ys @ R[:, a:b] the bits of the full product when a is a
@@ -47,8 +48,9 @@ _PRUNE_MARGIN = 1e-12
 # A block scores the union of its rows' kept cells in every row when that is
 # at most this many times the pairs they keep, so that its products are one
 # (rows x kept columns) matrix scored like costs_batch's, with no reordering
-# by row.  Signal blocks keep all but a few of their union's cells (1.0-1.15
-# times at the reference seed), noise-only blocks one cell in 14-23 of it.
+# by row.  Strong-signal blocks keep all or nearly all of their union's
+# cells (1.0-1.04 times on the auth benchmarks at the reference seed),
+# weaker ones 1.3-2.1 times, noise-only blocks one cell in 30-33 of it.
 # Scoring such blocks by row instead costs 20-30% more time on signal
 # batches and 1.5 MB more peak RSS on the auth-far benchmark (BENCH_10.json).
 _UNION_SCORE = 1.25
@@ -136,25 +138,23 @@ class ResponseGrid:
         g = len(self.angles_deg)
         nodes = np.minimum(np.arange(0, g + _CELL_COLUMNS - 1, _CELL_COLUMNS), g - 1)
         self._nodes_h = np.ascontiguousarray(self._responses_h[:, nodes])
-        # v = W^T (conj(s) * y) = y @ _poly; |v| @ _orders gives the bounds
-        # pi sum_n n |v_n| on |dp/du| and pi^2 sum_n n^2 |v_n| on |d2p/du2|
-        self._poly = schedule.combiners * self.symbols.conj()[:, None]
-        orders = np.pi * np.arange(1, n + 1)
-        self._orders = np.stack([orders, orders**2], axis=1)
-        # |p| exceeds the larger node by at most h^2/8 |p''| inside a cell of
-        # width h in u = sin(theta) (linear interpolation's error), and by at
-        # most |p'| du on the one-column stretch du past either node
-        u = np.sin(np.deg2rad(self.angles_deg))
-        du = np.diff(u)
-        self._cell_curvature = np.diff(u[nodes]) ** 2 / 8.0
-        self._cell_stretch = np.maximum(np.r_[0.0, du][nodes[:-1]], np.r_[du, 0.0][nodes[1:]])
-        # 1 / (smallest non-zero ||z||^2 over each cell's stretched columns),
-        # 0 where they are all zero; likewise per node
-        nonzero = np.where(self.norms2 > 0.0, self.norms2, np.inf)
-        near = np.minimum(nonzero, np.minimum(np.r_[nonzero[1:], np.inf], np.r_[np.inf, nonzero[:-1]]))
-        lowest = np.minimum(np.minimum.reduceat(near, nodes[:-1]), near[nodes[1:]])
-        self._inv_cell_norms2 = 1.0 / lowest
-        self._inv_node_norms2 = 1.0 / nonzero[nodes]
+        # 1 / ||z||, 0 where ||z|| = 0, so that zh = z / ||z|| is 0 there
+        inv_norms = np.divide(1.0, np.sqrt(self.norms2), out=np.zeros(g), where=self.norms2 > 0.0)
+        self._inv_node_norms = inv_norms[nodes]
+        # Column j of cell [a, b] is the chord ((b - j) zh_a + (j - a) zh_b) /
+        # (b - a) plus a residual, and column a - 1 (b + 1) is zh_a (zh_b) plus
+        # a step; the cell's reach is the largest residual or step norm, so
+        # that |zh_j^H y| <= max(|zh_a^H y|, |zh_b^H y|) + reach * ||y||.  It is
+        # built one column offset at a time, with room for rounding.
+        a, b = nodes[:-1], nodes[1:]
+        za, zb = (self.responses[c] * inv_norms[c, None] for c in (a, b))
+        reach = np.zeros(len(a))
+        for k in range(-1, _CELL_COLUMNS + 1):
+            cols = np.clip(np.minimum(a + k, b + 1), 0, g - 1)
+            t = np.clip(k / (b - a), 0.0, 1.0)[:, None]
+            residual = self.responses[cols] * inv_norms[cols, None] - (1.0 - t) * za - t * zb
+            np.maximum(reach, np.linalg.norm(residual, axis=1), out=reach)
+        self._cell_reach = reach * (1.0 + 1e-9)
         # Slots: the grid padded to whole _CELL_COLUMNS-wide slots, slot k
         # holding columns k * _CELL_COLUMNS onwards; slot k belongs to cell k,
         # and any slot past the last cell to the last cell, which spans 17
@@ -189,25 +189,20 @@ class ResponseGrid:
         and each row's ||y||^2.  Works in the flat scratch ``prod`` (rows x
         nodes complex entries) and ``buf`` (rows x (nodes + cells) floats);
         the bounds are a view of ``buf``."""
-        rows, m = len(ys), len(self._inv_node_norms2)
+        rows, m = len(ys), len(self._inv_node_norms)
         nodes = prod[: rows * m].reshape(rows, m)
         amp = buf[: rows * m].reshape(rows, m)
         bound = buf[rows * m : rows * (2 * m - 1)].reshape(rows, m - 1)
         np.abs(np.matmul(ys, self._nodes_h, out=nodes), out=amp)
-        # the node products are spent: their memory holds the float temporaries
-        spare = prod.view(np.float64)
-        proj = np.multiply(amp, amp, out=spare[: rows * m].reshape(rows, m))
-        proj *= self._inv_node_norms2
+        amp *= self._inv_node_norms
         total = np.sum(np.abs(ys) ** 2, axis=1)
-        best = np.max(proj, axis=1) - _PRUNE_MARGIN * total
-        slope, curve = (np.abs(ys @ self._poly) @ self._orders).T
-        slack, stretch = spare[: 2 * rows * (m - 1)].reshape(2, rows, m - 1)
-        np.multiply(curve[:, None], self._cell_curvature, out=slack)
-        np.multiply(slope[:, None], self._cell_stretch, out=stretch)
+        best = np.max(amp, axis=1) ** 2 - _PRUNE_MARGIN * total
+        # the node products are spent: their memory holds reach * ||y||
+        spare = prod.view(np.float64)[: rows * (m - 1)].reshape(rows, m - 1)
+        reach = np.multiply(np.sqrt(total)[:, None], self._cell_reach, out=spare)
         np.maximum(amp[:, :-1], amp[:, 1:], out=bound)
-        bound += np.maximum(slack, stretch, out=slack)
+        bound += reach
         bound *= bound
-        bound *= self._inv_cell_norms2
         return bound, best, total
 
     def _search(self, ys, keep, total, prod, buf, picked):
@@ -259,6 +254,8 @@ class ResponseGrid:
             else:
                 span = prod[at * w : (at + len(a) * length) * w].reshape(len(a), length * w)
             np.matmul(a, self._responses_h[:, lo * w : stop], out=span[:, : stop - lo * w])
+            # the last slot's padding columns, which no product writes
+            span[:, stop - lo * w :] = 0.0
         costs = np.abs(prod[: used * w], out=buf[: used * w])
         np.square(costs, out=costs)
         if same:
@@ -325,14 +322,13 @@ class ResponseGrid:
 
     def _block_shape(self, ys):
         """The kept entries a part scores at most, the rows of one block and
-        the rows of one coarse step: a step's bounds fit the scratch of
-        ``budget`` entries, and a block of four steps gathers rows of ``ys``
-        into at most an eighth of _BLOCK_BYTES."""
+        the rows of one coarse step, as _BLOCK_BYTES divides the scratch; a
+        step's bounds fit the scratch of ``budget`` entries."""
         slots, w = self._slot_norms2.shape
-        budget = max(2, _BLOCK_BYTES // (32 * slots * w)) * slots * w
-        nodes = len(self._inv_node_norms2)
-        step = max(2, min(budget // (2 * nodes - 1), _BLOCK_BYTES // 32 // (ys.itemsize * ys.shape[1])))
-        return budget, 4 * step, step
+        block = max(2, _BLOCK_BYTES // 16 // (slots + ys.itemsize * ys.shape[1]))
+        budget = max(2, (_BLOCK_BYTES - _BLOCK_BYTES // 16) // (32 * slots * w)) * slots * w
+        step = max(2, min(block, budget // (2 * len(self._inv_node_norms) - 1)))
+        return budget, block, step
 
     def estimate_batch(self, ys: np.ndarray) -> np.ndarray:
         """Refined angle estimates for a batch of observations: the grid
@@ -345,19 +341,22 @@ class ResponseGrid:
         steps, then scored in parts of whole rows whose kept cells fit the
         scratch.
         """
-        n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._inv_cell_norms2)
+        n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._cell_reach)
+        # A one-row product takes BLAS's matrix-vector path and rounds
+        # differently, so a lone frame is scored twice and a one-row tail
+        # joins the block or part before it.
+        if n == 1:
+            return self.estimate_batch(np.concatenate([ys, ys]))[:1]
         # Scratch for the products and costs of ``budget`` kept entries.  A
         # block's rows are bounded ``step`` rows at a time in the same
-        # memory, then scored together.  A one-row tail joins the block or
-        # part before it, as a one-row product takes BLAS's matrix-vector
-        # path and rounds differently.
+        # memory, then scored together.
         budget, block, step = self._block_shape(ys)
         blocks = [lo for lo in range(0, n, block) if lo == 0 or n - lo > 1] + [n]
         prod = np.empty(budget + 2 * slots * w, dtype=complex)
         buf = np.empty(budget + slots * w)
         keep = np.empty((min(n, block + 1), slots), dtype=bool)
         total = np.empty(len(keep))
-        picked = np.empty((max(2, len(keep)), ys.shape[1]), dtype=ys.dtype)
+        picked = np.empty((len(keep), ys.shape[1]), dtype=ys.dtype)
         out = np.empty(n)
         for lo, hi in zip(blocks, blocks[1:]):
             rows = hi - lo

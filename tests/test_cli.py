@@ -65,13 +65,13 @@ class TestPinnedOutputs:
         "theta, attack, expected",
         [
             ("45", "none",
-             "theta_hat_deg=44.99838007568166\ncost_at_min=8.315480845991967e-13\n"),
+             "theta_hat_deg=44.998380075681716\ncost_at_min=8.315480845994643e-13\n"),
             ("45", "location-based",
-             "theta_hat_deg=0.00010494037172870192\ncost_at_min=8.536774982106577e-13\n"),
+             "theta_hat_deg=0.00010494037173085413\ncost_at_min=8.536774982106569e-13\n"),
             ("45", "code-based",
-             "theta_hat_deg=-3.9057571908609177\ncost_at_min=8.469057147243067e-09\n"),
+             "theta_hat_deg=-3.905757190860927\ncost_at_min=8.469057147243067e-09\n"),
             ("-30", "location-based",
-             "theta_hat_deg=-52.588424117067866\ncost_at_min=6.176114126446213e-13\n"),
+             "theta_hat_deg=-52.5884241170678\ncost_at_min=6.176114126446216e-13\n"),
             # the only attack that draws its pilots from the stream, so this
             # case pins the draw order: Eve's pilots, then the frame
             ("45", "random",
