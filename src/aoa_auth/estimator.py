@@ -171,8 +171,11 @@ class ResponseGrid:
         return float(self.angles_deg[1] - self.angles_deg[0])
 
     def costs(self, y: np.ndarray) -> np.ndarray:
-        """Cost at every grid angle for a single observation vector."""
-        return self.costs_batch(y[None, :])[0]
+        """Cost at every grid angle for a single observation vector: its row
+        of :meth:`costs_batch` on any batch.  A one-row product takes BLAS's
+        matrix-vector path and rounds differently, so the frame is scored
+        as two identical rows, as :meth:`estimate_batch` scores a lone frame."""
+        return self.costs_batch(np.stack([y, y]))[0]
 
     def costs_batch(self, ys: np.ndarray) -> np.ndarray:
         """Cost matrix (batch x grid) for a batch of observation vectors."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -64,20 +65,82 @@ def _entropy(master_seed: int, *labels) -> list[int]:
     return words
 
 
-def _stream(entropy: list[int]) -> np.random.Generator:
-    # a fresh array per stream: SeedSequence keeps a reference to its entropy
-    seq = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
-    return np.random.Generator(np.random.PCG64(seq))
+# numpy's SeedSequence and PCG64 seeding, which NEP 19 keeps stream-compatible
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _streams(words: list, count: int) -> Iterator[np.random.Generator]:
+    """One stream for each of ``count`` rows of entropy words, as
+    ``Generator(PCG64(SeedSequence(row)))`` would seed it.
+
+    ``words`` lists a row's words in order.  A word is an int below 2**32,
+    the same in every row, or a uint32 array with the word of each row.  So
+    SeedSequence's pool mixing and ``generate_state(4, uint64)`` take the
+    shared words once, in Python ints, and the rest in uint32 array
+    operations, which wrap; every product and difference is masked to 32
+    bits, so both take the same steps.  PCG64's seeding runs in Python ints.
+
+    One Generator is yielded for every row, its state set anew each time, so
+    a consumer must be done with a stream before it takes the next.  Its
+    ``seed_seq`` is not the row's: streams are derived by labels, never
+    spawned.
+    """
+    # the hash constant steps once per hashmix, alike in every row
+    h = _INIT_A
+
+    def hashmix(value, mult):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK32
+        value = value * h & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
+
+    # SeedSequence hashes zeros into a pool slot no entropy word fills
+    words = list(words) + [0] * (4 - len(words))
+    pool = [hashmix(word, _MULT_A) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], _MULT_A))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word, _MULT_A))
+    h = _INIT_B
+    seeds = np.empty((count, 8), dtype="<u4")
+    for i in range(8):
+        seeds[:, i] = hashmix(pool[i % 4], _MULT_B)
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s_hi, s_lo, i_hi, i_lo in seeds.view("<u8").tolist():
+        # srandom(initstate, initseq): inc = 2 initseq + 1, then the LCG steps
+        # from 0, adds initstate and steps again
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
 
 
 def derive_trial_rng(master_seed: int, *labels) -> np.random.Generator:
     """Deterministic, collision-free stream from (master seed, labels...).
 
-    Labels may be ints, floats, or strings.  Callers that derive many streams
-    sharing leading labels compose ``_entropy`` and ``_stream`` instead, so
-    the shared labels are hashed once; the streams are the same.
+    Labels may be ints, floats, or strings.  The stream is the one row of
+    ``_streams`` on ``_entropy``'s words; callers that derive many streams
+    sharing leading labels hash and mix those once and give ``_streams`` the
+    rest as arrays, one word per stream.  The streams are the same.
     """
-    return _stream(_entropy(master_seed, *labels))
+    return next(_streams(_entropy(master_seed, *labels), 1))
 
 
 def _frames(scenario, schedule, geometry, tx_pilots, count, rng):
@@ -162,13 +225,15 @@ def run_rmse_sweep(scenario: Scenario) -> list[dict]:
     schedule = scenario.schedule()
     grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
 
+    # trials < 2**32, so each trial index is one entropy word
+    trials = np.arange(scenario.trials, dtype=np.uint32)
     rows = []
     for theta_e in scenario.eve_aoas_deg:
         pilots, _ = eve_pilots(scenario, schedule, kind, theta_e)
         for d_e in scenario.eve_distances_m:
             # stream of trial k: derive_trial_rng(seed, "rmse", attack, theta_e, d_e, k)
             point = _entropy(scenario.master_seed, "rmse", scenario.attack, theta_e, d_e)
-            rngs = (_stream(point + _label_words(k)) for k in range(scenario.trials))
+            rngs = _streams(point + [trials], scenario.trials)
             geometry = NodeGeometry(d_e, theta_e)
             ys = _frames(scenario, schedule, geometry, pilots, scenario.trials, rngs)
             estimates = grid.estimate_batch(ys)

@@ -185,22 +185,23 @@ def synthesize_observation(
     imaginary noise of all frames.  From a sequence (or any iterable) of
     ``count`` Generators, frame k draws from the k-th alone: its phase, its
     real row, then its imaginary row -- exactly the draws of a ``count=1``
-    call on that stream.  Each is drawn from before the next is taken, so a
-    lazy iterable keeps one Generator alive at a time.
+    call on that stream.  Each stream is drawn in full before the next is
+    taken, so a lazy iterable may yield one Generator reseeded per frame.
     """
     t = len(signal)
+    # a phase is uniform(0, 2 pi): 0 + 2 pi * random(), with the same bits;
+    # one scalar random() costs a quarter of one scalar uniform()
     if isinstance(rng, np.random.Generator):
-        phases = rng.uniform(0.0, 2.0 * np.pi, count)
-        real = rng.standard_normal((count, t))
-        imag = rng.standard_normal((count, t))
+        phases = rng.random(count)
+        real, imag = rng.standard_normal((2, count, t))
     else:
         phases = np.empty(count)
-        real = np.empty((count, t))
-        imag = np.empty((count, t))
+        noise = np.empty((count, 2, t))
         # strict: a count that differs from the number of streams is an error
         for k, frame_rng in zip(range(count), rng, strict=True):
-            phases[k] = frame_rng.uniform(0.0, 2.0 * np.pi)
-            frame_rng.standard_normal(out=real[k])
-            frame_rng.standard_normal(out=imag[k])
+            phases[k] = frame_rng.random()
+            frame_rng.standard_normal(out=noise[k])
+        real, imag = noise[:, 0], noise[:, 1]
+    phases *= 2.0 * np.pi
     noise = np.sqrt(noise_var / 2.0) * (real + 1j * imag)
     return np.exp(1j * phases)[:, None] * signal[None, :] + noise

@@ -90,15 +90,15 @@ class TestPinnedOutputs:
         }
         assert digests == {
             "cost_curve_alice.csv":
-                "5a2f2b8e7ca3100589fb7a47ec0b3d11a5673729b141599c3af822025dbabd8e",
+                "42df9524c798449bd05a46d05d1a34114bb9726c94d7062b75d64cf70868b03f",
             "cost_curve_eve_no_attack.csv":
-                "d4c630dff241a53ab68037e3cb56f7370ec2e42112de0df732da19a7a58d6c4a",
+                "f2a67120070db55bf141645ea19e14848dafa1d9f4cb2d57e97852c0f942f186",
             "cost_curve_random_attack.csv":
-                "6df0bd87c37e622da6fbaf91db880702f50ff9163653ba5f876ea684078550c5",
+                "c665e66370bff7e2d65250d2d5e30209dcd2d1a79e9fd279ac1db9c2d3f22543",
             "cost_curve_code_based.csv":
-                "e7e028a555564ddb41ab7e136d2d5ae5bb95455dd6aae815911a3bae14f3df22",
+                "66fbb3e81fc706d0f192141369e7bc166ece2942f7d70619f2a78399d5f952ec",
             "cost_curve_location_based.csv":
-                "3fe45ffeda9126f4c7cf312f5203beb6795d575df7213cd074007919cce9375c",
+                "2711e98f5c5fbf0d420f8b7db116efe16016789e396bff1dfbe64bf14bb3c4ab",
         }
 
 

@@ -347,7 +347,7 @@ class TestCostsMatchDenseExpression:
         grid = ResponseGrid(*setup[:2])
         ys = _frames(grid, 37, seed=31)
         assert np.array_equal(grid.costs_batch(ys), _dense_costs(grid, ys))
-        assert np.array_equal(grid.costs(ys[5]), _dense_costs(grid, ys[5:6])[0])
+        assert np.array_equal(grid.costs(ys[5]), _dense_costs(grid, ys)[5])
 
     def test_zero_norm_columns(self):
         # the second beam w = [1, -1] is null at broadside, and the zero
@@ -361,7 +361,18 @@ class TestCostsMatchDenseExpression:
         costs = grid.costs_batch(ys)
         assert np.array_equal(costs, _dense_costs(grid, ys))
         assert np.array_equal(costs[:, 1800], np.sum(np.abs(ys) ** 2, axis=1))
-        assert np.array_equal(grid.costs(ys[0]), _dense_costs(grid, ys[:1])[0])
+        assert np.array_equal(grid.costs(ys[0]), costs[0])
+
+    def test_single_frame_is_its_batch_row(self, setup):
+        # a one-row product takes BLAS's matrix-vector path, which moves
+        # the costs of all 50 of these frames, by up to 1.7e-13 relative
+        sched, pilots, cfg = setup
+        grid = ResponseGrid(sched, pilots)
+        rng = np.random.default_rng(33)
+        ys = np.stack([alice_obs(setup, rng=rng, dist=300.0) for _ in range(50)])
+        costs = grid.costs_batch(ys)
+        for k, y in enumerate(ys):
+            assert np.array_equal(grid.costs(y), costs[k]), k
 
 
 def _chunked_dense_estimates(grid, ys, chunk=512):
