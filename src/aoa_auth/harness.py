@@ -57,90 +57,76 @@ def _label_words(label) -> list[int]:
     return [word & _MASK32, word >> 32] if word >> 32 else [word]
 
 
-def _entropy(master_seed: int, *labels) -> list[int]:
-    """Entropy words of the stream named by (master seed, labels...)."""
+def _entropy(master_seed: int, *labels) -> np.ndarray:
+    """Entropy words of the stream named by (master seed, labels...), as the
+    uint32 array that ``SeedSequence`` takes without converting."""
     words = _label_words(int(master_seed))
     for label in labels:
         words += _label_words(label)
-    return words
+    return np.array(words, dtype=np.uint32)
 
 
-# numpy's SeedSequence and PCG64 seeding, which NEP 19 keeps stream-compatible
+# numpy's SeedSequence hash constants, which NEP 19 keeps stream-compatible
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
-def _streams(words: list, count: int) -> Iterator[np.random.Generator]:
-    """One stream for each of ``count`` rows of entropy words, as
-    ``Generator(PCG64(SeedSequence(row)))`` would seed it.
+class _State(np.random.bit_generator.ISeedSequence):
+    """A row of ``generate_state(4, uint64)`` computed ahead, for PCG64."""
 
-    ``words`` lists a row's words in order.  A word is an int below 2**32,
-    the same in every row, or a uint32 array with the word of each row.  So
-    SeedSequence's pool mixing and ``generate_state(4, uint64)`` take the
-    shared words once, in Python ints, and the rest in uint32 array
-    operations, which wrap; every product and difference is masked to 32
-    bits, so both take the same steps.  PCG64's seeding runs in Python ints.
+    def __init__(self, words: np.ndarray):
+        self.words = words
 
-    One Generator is yielded for every row, its state set anew each time, so
-    a consumer must be done with a stream before it takes the next.  Its
-    ``seed_seq`` is not the row's: streams are derived by labels, never
-    spawned.
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(prefix, last: np.ndarray) -> Iterator[np.random.Generator]:
+    """``derive_trial_rng``'s stream of entropy words ``prefix + [w]`` for
+    each uint32 word ``w`` of ``last``, one Generator apiece.
+
+    ``SeedSequence(prefix)`` mixes the shared words once.  The pool then
+    takes each row's last word and ``generate_state(4, uint64)`` runs as
+    uint32 array operations, which wrap as SeedSequence's do; PCG64 seeds
+    itself from each row.  ``prefix`` must hold at least 4 words, so the
+    last word falls in SeedSequence's extra mixing loop.
     """
-    # the hash constant steps once per hashmix, alike in every row
-    h = _INIT_A
+    if len(prefix) < 4:
+        raise ValueError("a stream prefix needs at least 4 entropy words")
+    pool = np.random.SeedSequence(prefix).pool
+    # mix_entropy makes four hashmix calls per word of a prefix this long
+    h = _INIT_A * pow(_MULT_A, 4 * len(prefix), 1 << 32) & _MASK32
 
     def hashmix(value, mult):
         nonlocal h
         value = value ^ h
         h = h * mult & _MASK32
-        value = value * h & _MASK32
+        value = value * h
         return value ^ (value >> 16)
 
     def mix(x, y):
-        result = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+        result = (_MIX_L * int(x) & _MASK32) - _MIX_R * y
         return result ^ (result >> 16)
 
-    # SeedSequence hashes zeros into a pool slot no entropy word fills
-    words = list(words) + [0] * (4 - len(words))
-    pool = [hashmix(word, _MULT_A) for word in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], _MULT_A))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word, _MULT_A))
+    pool = [mix(word, hashmix(last, _MULT_A)) for word in pool]
     h = _INIT_B
-    seeds = np.empty((count, 8), dtype="<u4")
+    seeds = np.empty((len(last), 8), dtype="<u4")
     for i in range(8):
         seeds[:, i] = hashmix(pool[i % 4], _MULT_B)
-    rng = np.random.Generator(np.random.PCG64(0))
-    for s_hi, s_lo, i_hi, i_lo in seeds.view("<u8").tolist():
-        # srandom(initstate, initseq): inc = 2 initseq + 1, then the LCG steps
-        # from 0, adds initstate and steps again
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
+    # native-order uint64 words, as generate_state returns them
+    for row in seeds.view("<u8").astype(np.uint64):
+        yield np.random.Generator(np.random.PCG64(_State(row)))
 
 
 def derive_trial_rng(master_seed: int, *labels) -> np.random.Generator:
     """Deterministic, collision-free stream from (master seed, labels...).
 
-    Labels may be ints, floats, or strings.  The stream is the one row of
-    ``_streams`` on ``_entropy``'s words; callers that derive many streams
-    sharing leading labels hash and mix those once and give ``_streams`` the
-    rest as arrays, one word per stream.  The streams are the same.
+    Labels may be ints, floats, or strings.  The stream is numpy's own
+    seeding of ``_entropy``'s words; ``_streams`` derives the same streams
+    for many rows that share all but their last word.
     """
-    return next(_streams(_entropy(master_seed, *labels), 1))
+    return np.random.default_rng(_entropy(master_seed, *labels))
 
 
 def _frames(scenario, schedule, geometry, tx_pilots, count, rng):
@@ -233,7 +219,7 @@ def run_rmse_sweep(scenario: Scenario) -> list[dict]:
         for d_e in scenario.eve_distances_m:
             # stream of trial k: derive_trial_rng(seed, "rmse", attack, theta_e, d_e, k)
             point = _entropy(scenario.master_seed, "rmse", scenario.attack, theta_e, d_e)
-            rngs = _streams(point + [trials], scenario.trials)
+            rngs = _streams(point, trials)
             geometry = NodeGeometry(d_e, theta_e)
             ys = _frames(scenario, schedule, geometry, pilots, scenario.trials, rngs)
             estimates = grid.estimate_batch(ys)

@@ -38,10 +38,11 @@ class OcsvmParams:
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
             raise ValueError("nu must lie in (0, 1]")
-        if not isinstance(self.gamma, str) and self.gamma <= 0:
-            raise ValueError("explicit gamma must be positive")
-        if isinstance(self.gamma, str) and self.gamma != MEDIAN_HEURISTIC:
-            raise ValueError(f"gamma must be a number or {MEDIAN_HEURISTIC!r}")
+        if isinstance(self.gamma, str):
+            if self.gamma != MEDIAN_HEURISTIC:
+                raise ValueError(f"gamma must be a number or {MEDIAN_HEURISTIC!r}")
+        elif not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"explicit gamma must be finite and positive, got {self.gamma!r}")
         # a fit with tol <= 0 spends the whole iteration budget, then raises
         if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
             raise ValueError("solver_tol must be finite and positive")
@@ -60,8 +61,8 @@ class OcsvmConvergenceError(RuntimeError):
 
 def kernel(x, y, gamma: float):
     """Gaussian kernel exp(-gamma * (x - y)^2) on scalar angles."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     return np.exp(-gamma * d * d)
 
@@ -126,6 +127,8 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     l = len(x)
     if l < 2:
         raise ValueError("need at least 2 training samples")
+    if not np.isfinite(x).all():
+        raise ValueError(f"training samples must be finite, got {float(x[~np.isfinite(x)][0])!r}")
     if isinstance(params.gamma, str):
         gamma = median_heuristic_gamma(x, GAMMA_FLOOR_DEG2)
     else:
@@ -153,7 +156,6 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     g_low = np.where(alpha > 0.0, grad, -np.inf)
     step = np.empty(l)
     a = alpha.tolist()
-    diag = np.diagonal(k_matrix).tolist()
     tol = params.solver_tol
 
     converged = False
@@ -173,7 +175,8 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
             converged = True
             break
         k_i = k_matrix[i]
-        quad = diag[i] + diag[j] - 2.0 * k_i.item(j)
+        # K_ii = K_jj = exp(-0.0) = 1 exactly on finite samples
+        quad = 2.0 - 2.0 * k_i.item(j)
         delta = violation / max(quad, 1e-12)
         delta = min(delta, c - a[i], a[j])
         a[i] += delta

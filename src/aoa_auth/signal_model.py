@@ -185,8 +185,7 @@ def synthesize_observation(
     imaginary noise of all frames.  From a sequence (or any iterable) of
     ``count`` Generators, frame k draws from the k-th alone: its phase, its
     real row, then its imaginary row -- exactly the draws of a ``count=1``
-    call on that stream.  Each stream is drawn in full before the next is
-    taken, so a lazy iterable may yield one Generator reseeded per frame.
+    call on that stream.
     """
     t = len(signal)
     # a phase is uniform(0, 2 pi): 0 + 2 pi * random(), with the same bits;

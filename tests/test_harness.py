@@ -98,65 +98,64 @@ class TestStreamDerivation:
             )
             assert np.array_equal(from_ints.pool, from_words.pool), words
 
-    def test_streams_match_numpy_seeding(self):
-        # rows of 1-12 words: longer than 4 reaches SeedSequence's extra
-        # mixing loop (an RMSE point's rows are about 10 words)
+    @staticmethod
+    def _rows(lengths):
         rng = np.random.default_rng(2024)
         rows = [[int(w) for w in rng.integers(0, 2**32, n, dtype=np.uint64)]
-                for n in rng.integers(1, 13, 360)]
-        rows += [[w] * n for n in (1, 4, 5, 12) for w in (0, 2**32 - 1)]
+                for n in rng.integers(lengths[0], lengths[-1] + 1, 360)]
+        rows += [[w] * n for n in (1, 4, 5, 12) for w in (0, 2**32 - 1) if n in lengths]
         rows += [[0, 2**32 - 1] * 5, [2**32 - 1, 0, 0, 0, 0, 1]]
-        assert {len(row) for row in rows} == set(range(1, 13))
+        assert {len(row) for row in rows} == set(lengths)
+        return rows
 
-        def numpy_state(row):
-            return _state(np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))))
+    @staticmethod
+    def _numpy_state(row):
+        return _state(np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))))
 
-        for row in rows:
-            # every word shared, as derive_trial_rng passes them
-            assert _state(next(harness._streams(row, 1))) == numpy_state(row), row
-        for length in range(1, 13):
+    def test_derive_trial_rng_matches_numpy_seeding(self):
+        # rows of 1-12 words: longer than 4 reaches SeedSequence's extra
+        # mixing loop (an RMSE point's rows are about 10 words)
+        for row in self._rows(range(1, 13)):
+            assert _state(derive_trial_rng(*row)) == self._numpy_state(row), row
+
+    def test_streams_match_numpy_seeding(self):
+        # rows of 5-12 words, split as the RMSE sweep splits a trial's row:
+        # every word but the last shared, the last an array over the rows
+        rows = self._rows(range(5, 13))
+        for length in range(5, 13):
             same = np.array([row for row in rows if len(row) == length], dtype=np.uint32)
-            expected = [numpy_state(row) for row in same]
-            # every word an array; then all but the last word shared, as the
-            # RMSE sweep passes them
-            columns = list(same.T)
-            assert [_state(s) for s in harness._streams(columns, len(same))] == expected
-            mixed = [int(w) for w in same[0, :-1]] + [same[:, -1]]
-            last_only = np.array([[*same[0, :-1], w] for w in same[:, -1]], dtype=np.uint32)
-            assert [_state(s) for s in harness._streams(mixed, len(same))] == [
-                numpy_state(row) for row in last_only
-            ]
+            prefix = [int(w) for w in same[0, :-1]]
+            expected = [self._numpy_state(prefix + [int(w)]) for w in same[:, -1]]
+            assert [_state(s) for s in harness._streams(prefix, same[:, -1])] == expected
 
-    def test_reused_stream_is_fully_reset(self):
+    def test_streams_need_a_four_word_prefix(self):
+        with pytest.raises(ValueError):
+            next(harness._streams([1, 2, 3], np.zeros(2, dtype=np.uint32)))
+
+    def test_held_streams_are_independent(self):
         labels = (20240, "rmse", "code-based", 45.0, 1000.0)
-        point = harness._entropy(*labels)
-        streams = harness._streams(point + [np.array([0, 0], dtype=np.uint32)], 2)
-        first = next(streams)
-        fresh = _state(first)
-        first.integers(0, 2**32, dtype=np.uint32)
-        assert _state(first)["has_uint32"] == 1
-        again = next(streams)
-        assert again is first
-        assert _state(again) == fresh
-        assert np.array_equal(
-            again.integers(0, 2**32, 4, dtype=np.uint32),
-            derive_trial_rng(*labels, 0).integers(0, 2**32, 4, dtype=np.uint32),
-        )
+        trials = np.array([0, 1], dtype=np.uint32)
+        first, second = harness._streams(harness._entropy(*labels), trials)
+        drawn = {0: [], 1: []}
+        for _ in range(3):
+            drawn[0].append(first.integers(0, 2**32, 3, dtype=np.uint32))
+            drawn[1].append(second.integers(0, 2**32, 3, dtype=np.uint32))
+        for k in (0, 1):
+            assert np.array_equal(
+                np.concatenate(drawn[k]),
+                derive_trial_rng(*labels, k).integers(0, 2**32, 9, dtype=np.uint32),
+            )
 
-    @pytest.mark.parametrize("trial", [0, 1, 149, 2**32, 2**40])
+    @pytest.mark.parametrize("trial", [0, 1, 149, 10**6 - 1, 2**32 - 1])
     def test_point_prefix_gives_the_trial_stream(self, trial):
         labels = (20240, "rmse", "code-based", 45.0, 1000.0)
-        point = harness._entropy(*labels)
-        trials = (trial, trial + 1)
-        # each of the trials' words as an array over the two rows
-        columns = [np.array(column, dtype=np.uint32)
-                   for column in zip(*(harness._label_words(k) for k in trials), strict=True)]
-        composed = [_state(rng) for rng in harness._streams(point + columns, 2)]
-        assert composed == [_state(derive_trial_rng(*labels, k)) for k in trials]
+        trials = np.array([trial, trial ^ 1], dtype=np.uint32)
+        composed = [_state(rng) for rng in harness._streams(harness._entropy(*labels), trials)]
+        assert composed == [_state(derive_trial_rng(*labels, int(k))) for k in trials]
 
     def test_rmse_sweep_draws_each_trial_stream(self, monkeypatch):
-        # the sweep reuses one Generator, so each stream's state is read as
-        # it is handed out, before synthesis draws from it
+        # each stream's state is read as it is handed out, before synthesis
+        # draws from it
         s = small_scenario(attack="code-based", trials=150, eve_distances_m=[10.0])
         drawn = []
         synthesize = harness.synthesize_observation

@@ -40,6 +40,11 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match=repr(gamma)):
+            kernel(0.0, 1.0, gamma)
+
     def test_gram_matrix_matches_kernel(self):
         # train's row-block build has the bits of the broadcast kernel
         rng = np.random.default_rng(11)
@@ -305,6 +310,19 @@ class TestTrain:
     def test_rejects_bad_nu(self):
         with pytest.raises(ValueError):
             OcsvmParams(nu=0.0)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match=repr(gamma)):
+            OcsvmParams(gamma=gamma)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_samples(self, bad):
+        # without the check the fit spent max_iters on a NaN gradient
+        x = np.random.default_rng(17).normal(0.0, 1.0, 200)
+        x[50] = bad
+        with pytest.raises(ValueError, match=repr(bad)):
+            train(x, OcsvmParams(max_iters=20_000))
 
     @pytest.mark.parametrize(
         "kwargs",
