@@ -239,12 +239,12 @@ def run_rmse_sweep(scenario: Scenario) -> list[dict]:
 # authentication sweep
 
 
-def _auth_repetition(scenario: Scenario, rep: int):
+def _auth_repetition(scenario: Scenario, grid: ResponseGrid, rep: int):
     """Train one verifier on fresh legitimate estimates and score the test
-    streams; returns (alice counts, per-point attack counts)."""
-    schedule = scenario.schedule()
+    streams with the scenario's ``grid``; returns (alice counts, per-point
+    attack counts)."""
+    schedule = grid.schedule
     alice_pilots = scenario.alice_pilots()
-    grid = ResponseGrid(schedule, alice_pilots, scenario.grid_step_deg)
     alice_geom = scenario.alice_geometry()
     half = scenario.test_size // 2
 
@@ -283,12 +283,15 @@ def run_auth_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
     so the false-alarm rate is independent of the attacker's parameters.
     """
     scenario.validate()
+    # one grid serves every repetition; it holds no scratch state
+    grid = ResponseGrid(scenario.schedule(), scenario.alice_pilots(), scenario.grid_step_deg)
     reps = range(scenario.repetitions)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_auth_repetition, [scenario] * len(reps), reps))
+            results = list(pool.map(_auth_repetition, [scenario] * len(reps),
+                                    [grid] * len(reps), reps))
     else:
-        results = [_auth_repetition(scenario, rep) for rep in reps]
+        results = [_auth_repetition(scenario, grid, rep) for rep in reps]
 
     alice_total = ConfusionCounts()
     eve_totals: dict[tuple, ConfusionCounts] = {}

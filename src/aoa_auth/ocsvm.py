@@ -16,6 +16,7 @@ closed-form under the simplex constraint.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,8 @@ MEDIAN_HEURISTIC = "median-heuristic"
 # floor on the median pairwise squared distance, in deg^2; prevents
 # gamma -> inf when high SNR collapses the training estimates
 GAMMA_FLOOR_DEG2 = 0.0025
-# rows of the Gram matrix built per step, so that K is the only l x l array
-_GRAM_ROWS = 64
+# kernel rows per block of the initial gradient
+_GRAD_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ class OcsvmParams:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise ValueError("nu must lie in (0, 1]")
+        if isinstance(self.nu, bool) or not (isinstance(self.nu, numbers.Real) and 0.0 < self.nu <= 1.0):
+            raise ValueError(f"nu must be a number in (0, 1], got {self.nu!r}")
         if isinstance(self.gamma, str):
             if self.gamma != MEDIAN_HEURISTIC:
                 raise ValueError(f"gamma must be a number or {MEDIAN_HEURISTIC!r}")
@@ -46,8 +47,12 @@ class OcsvmParams:
         # a fit with tol <= 0 spends the whole iteration budget, then raises
         if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
             raise ValueError("solver_tol must be finite and positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        # a float budget could be nan (no fit ever converges) or inf (a
+        # non-converging fit never stops)
+        if isinstance(self.max_iters, bool) or not (
+            isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1
+        ):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 class OcsvmConvergenceError(RuntimeError):
@@ -65,18 +70,6 @@ def kernel(x, y, gamma: float):
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     return np.exp(-gamma * d * d)
-
-
-def _gram_matrix(x: np.ndarray, gamma: float) -> np.ndarray:
-    """``kernel(x[:, None], x[None, :], gamma)`` with the same operations in
-    the same order, built in row blocks."""
-    k = np.empty((len(x), len(x)))
-    for lo in range(0, len(x), _GRAM_ROWS):
-        d = x[lo : lo + _GRAM_ROWS, None] - x[None, :]
-        rows = np.multiply(-gamma, d, out=k[lo : lo + _GRAM_ROWS])
-        np.multiply(rows, d, out=rows)
-        np.exp(rows, out=rows)
-    return k
 
 
 def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
@@ -112,6 +105,8 @@ class OcsvmModel:
     # solver diagnostics of the fit
     iterations: int = field(default=0, compare=False)
     kkt_violation: float = field(default=0.0, compare=False)
+    # kernel rows the fit computed, at most train_size
+    kernel_rows: int = field(default=0, compare=False)
 
     def decision(self, x):
         """f(x) = sum_i alpha_i K(x_i, x) - rho; accepts scalars or arrays."""
@@ -134,7 +129,6 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     else:
         gamma = float(params.gamma)
 
-    k_matrix = _gram_matrix(x, gamma)
     c = 1.0 / (params.nu * l)
 
     # libsvm-style feasible start: the first floor(nu*l) weights at the box
@@ -144,17 +138,29 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     alpha[:n_full] = c
     if n_full < l:
         alpha[n_full] = 1.0 - n_full * c
-    grad = k_matrix @ alpha
+    # grad = K @ alpha from the columns of the non-zero weights, in row
+    # blocks.  The window is widened to a multiple of 16 columns: OpenBLAS
+    # gives such a window the bits of the full product (a window of exactly
+    # n_full + 1 columns does not), as the estimator's pruned search relies on.
+    m = min(l, -(-(n_full + 1) // 16) * 16)
+    grad = np.empty(l)
+    for lo in range(0, l, _GRAD_ROWS):
+        d = x[lo : lo + _GRAD_ROWS, None] - x[None, :m]
+        np.matmul(np.exp(-gamma * d * d), alpha[:m], out=grad[lo : lo + _GRAD_ROWS])
 
     # first-order working set: i minimizes the gradient over {alpha < c}, j
     # maximizes it over {alpha > 0}, first index on ties.  g_up and g_low are
     # the gradient with +inf / -inf outside those sets; every index lies in
     # at least one, so they hold the whole gradient between them.  Each
     # update adds delta * (K_i - K_j) to both (K is exactly symmetric, so
-    # rows stand in for columns) and re-files the two touched indices.
+    # rows stand in for columns) and re-files the two touched indices.  A
+    # kernel row is computed, with the kernel's operations, the first time
+    # it is needed, so no l x l array is ever held.
     g_up = np.where(alpha < c, grad, np.inf)
     g_low = np.where(alpha > 0.0, grad, -np.inf)
     step = np.empty(l)
+    rows = [None] * l
+    kernel_rows = 0
     a = alpha.tolist()
     tol = params.solver_tol
 
@@ -174,14 +180,19 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
         if violation < tol:
             converged = True
             break
-        k_i = k_matrix[i]
+        for k in (i, j):
+            if rows[k] is None:
+                d = x.item(k) - x
+                rows[k] = np.exp(-gamma * d * d)
+                kernel_rows += 1
+        k_i = rows[i]
         # K_ii = K_jj = exp(-0.0) = 1 exactly on finite samples
         quad = 2.0 - 2.0 * k_i.item(j)
         delta = violation / max(quad, 1e-12)
         delta = min(delta, c - a[i], a[j])
         a[i] += delta
         a[j] -= delta
-        np.subtract(k_i, k_matrix[j], out=step)
+        np.subtract(k_i, rows[j], out=step)
         step *= delta
         g_up += step
         g_low += step
@@ -216,4 +227,5 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
         degenerate_rho=degenerate,
         iterations=iterations,
         kkt_violation=float(violation),
+        kernel_rows=kernel_rows,
     )

@@ -8,7 +8,6 @@ from aoa_auth.ocsvm import (
     GAMMA_FLOOR_DEG2,
     MEDIAN_HEURISTIC,
     OcsvmConvergenceError,
-    _gram_matrix,
     kernel,
     median_heuristic_gamma,
 )
@@ -44,26 +43,6 @@ class TestKernel:
     def test_rejects_non_finite_gamma(self, gamma):
         with pytest.raises(ValueError, match=repr(gamma)):
             kernel(0.0, 1.0, gamma)
-
-    def test_gram_matrix_matches_kernel(self):
-        # train's row-block build has the bits of the broadcast kernel
-        rng = np.random.default_rng(11)
-        for l in (2, 63, 64, 65, 200, 1000):
-            x = rng.normal(0.0, 0.4, l)
-            for gamma in (0.37, 12.5, 200.0):
-                assert np.array_equal(_gram_matrix(x, gamma), kernel(x[:, None], x[None, :], gamma))
-
-    def test_gram_matrix_is_the_only_square_array(self):
-        # the broadcast kernel holds three l x l arrays at once (22.9 MB at
-        # l = 1000); the row-block build holds K and one block
-        x = np.random.default_rng(12).normal(0.0, 0.4, 1000)
-        tracemalloc.start()
-        try:
-            _gram_matrix(x, 0.37)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * 8 * 1000**2
 
 
 class TestMedianHeuristic:
@@ -184,6 +163,17 @@ def _bitwise_cases():
         pytest.param(np.array([1.0, 1.0]), OcsvmParams(nu=0.5), id="identical"),
         pytest.param(np.random.default_rng(2).normal(0.0, 0.04, 1000),
                      OcsvmParams(nu=0.5), id="degenerate-rho"),
+    ]
+    # the initial gradient's 16-aligned column window: n_full + 1 non-zero
+    # weights at and around a multiple of 16, and row blocks with a lone
+    # last row (l = 65) or a short one (l = 1001)
+    x = np.random.default_rng(18).normal(0.0, 0.04, 1001)
+    for nonzero in (15, 16, 17, 32, 33):
+        cases.append(pytest.param(x[:1000], OcsvmParams(nu=(nonzero - 0.5) / 1000),
+                                  id=f"window-{nonzero}"))
+    cases += [
+        pytest.param(x[:65], OcsvmParams(nu=0.3), id="l65"),
+        pytest.param(x, OcsvmParams(nu=0.1), id="l1001"),
     ]
     return cases
 
@@ -333,6 +323,12 @@ class TestTrain:
             dict(solver_tol=float("inf")),
             dict(max_iters=0),
             dict(max_iters=-5),
+            dict(max_iters=float("nan")),
+            dict(max_iters=float("inf")),
+            dict(max_iters=2.5),
+            dict(max_iters=True),
+            dict(nu=True),
+            dict(nu="0.1"),
         ],
     )
     def test_rejects_solver_settings_that_cannot_converge(self, kwargs):
@@ -346,6 +342,24 @@ class TestTrain:
         assert 0.0 <= m.kkt_violation < OcsvmParams().solver_tol
         m1 = train(x, OcsvmParams(nu=1.0))
         assert m1.iterations == 0 and m1.kkt_violation == 0.0
+        assert m1.kernel_rows == 0
+
+    def test_computes_few_kernel_rows(self):
+        x = np.random.default_rng(19).normal(0.0, 0.04, 1000)
+        m = train(x, OcsvmParams(nu=0.1))
+        assert 0 < m.kernel_rows < 0.5 * len(x)
+
+    def test_train_holds_no_square_array(self):
+        # an l x l Gram matrix alone is 8 l^2 bytes (7.6 MiB at l = 1000)
+        l = 1000
+        x = np.random.default_rng(19).normal(0.0, 0.04, l)
+        tracemalloc.start()
+        try:
+            train(x, OcsvmParams(nu=0.1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 8 * l**2
 
     def test_gamma_string_must_be_known(self):
         with pytest.raises(ValueError):
