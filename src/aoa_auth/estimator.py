@@ -94,10 +94,21 @@ def gain_hat(z: np.ndarray, y: np.ndarray) -> complex:
 
 def check_grid_step(grid_step_deg: float) -> None:
     """Raise ValueError unless ``grid_step_deg`` is a usable grid step."""
-    if not MIN_GRID_STEP_DEG <= grid_step_deg <= 10.0:
+    if isinstance(grid_step_deg, bool) or not MIN_GRID_STEP_DEG <= grid_step_deg <= 10.0:
         raise ValueError(
             f"grid_step_deg must lie in [{MIN_GRID_STEP_DEG}, 10], got {grid_step_deg!r}"
         )
+
+
+def _score(costs, norms2, orthogonal, total):
+    """The costs ||y||^2 - |z^H y|^2 / ||z||^2, in place over the |z^H y|
+    values ``costs`` (rows x columns): ``norms2`` holds the columns' ||z||^2
+    (1 where it is 0), ``orthogonal`` marks the zero-norm columns, where
+    the cost is ||y||^2, and ``total`` is each row's ||y||^2."""
+    np.square(costs, out=costs)
+    np.divide(costs, norms2, out=costs)
+    np.copyto(costs, 0.0, where=orthogonal)
+    return np.subtract(total[:, None], costs, out=costs)
 
 
 class ResponseGrid:
@@ -126,8 +137,6 @@ class ResponseGrid:
         # rows z(theta_j) = (w_t^H a(theta_j)) s_t
         self.responses = (steer @ schedule.combiners.conj().T) * self.symbols[None, :]
         self.norms2 = np.sum(np.abs(self.responses) ** 2, axis=1)
-        self._safe_norms2 = np.where(self.norms2 > 0.0, self.norms2, 1.0)
-        self._zero_norm = self.norms2 == 0.0
         self._responses_h = self.responses.conj().T
 
         # Pruning cells: cell c spans the columns between nodes c and c + 1,
@@ -162,9 +171,8 @@ class ResponseGrid:
         # zero-norm ones, as ||y||^2, after every real column of their row.
         slots = -(-g // _CELL_COLUMNS)
         pad = slots * _CELL_COLUMNS - g
-        self._slot_norms2 = np.r_[self._safe_norms2, np.ones(pad)].reshape(slots, _CELL_COLUMNS)
-        self._slot_orthogonal = np.r_[self._zero_norm, np.ones(pad, dtype=bool)].reshape(slots, _CELL_COLUMNS)
-        self._orthogonal_slots = self._slot_orthogonal.any(axis=1)
+        self._slot_norms2 = np.r_[np.where(self.norms2 > 0.0, self.norms2, 1.0), np.ones(pad)].reshape(slots, _CELL_COLUMNS)
+        self._slot_orthogonal = np.r_[self.norms2 == 0.0, np.ones(pad, dtype=bool)].reshape(slots, _CELL_COLUMNS)
 
     @property
     def step_deg(self) -> float:
@@ -174,31 +182,28 @@ class ResponseGrid:
         """Cost at every grid angle for a single observation vector: its row
         of :meth:`costs_batch` on any batch.  A one-row product takes BLAS's
         matrix-vector path and rounds differently, so the frame is scored
-        as two identical rows, as :meth:`estimate_batch` scores a lone frame."""
+        as two identical rows, as :meth:`_search` scores a one-row part."""
         return self.costs_batch(np.stack([y, y]))[0]
 
     def costs_batch(self, ys: np.ndarray) -> np.ndarray:
         """Cost matrix (batch x grid) for a batch of observation vectors."""
+        g = len(self.angles_deg)
         costs = np.abs(ys @ self._responses_h)
-        np.square(costs, out=costs)
-        np.divide(costs, self._safe_norms2, out=costs)
-        costs[:, self._zero_norm] = 0.0
         total = np.sum(np.abs(ys) ** 2, axis=1)
-        return np.subtract(total[:, None], costs, out=costs)
+        return _score(costs, self._slot_norms2.ravel()[:g], self._slot_orthogonal.ravel()[:g], total)
 
-    def _bounds(self, ys, prod, buf):
+    def _bounds(self, ys, total, prod, buf):
         """Per-row bounds on |z^H y|^2 / ||z||^2 over each cell's stretched
-        columns (rows x cells), each row's best node less the pruning margin,
-        and each row's ||y||^2.  Works in the flat scratch ``prod`` (rows x
-        nodes complex entries) and ``buf`` (rows x (nodes + cells) floats);
-        the bounds are a view of ``buf``."""
+        columns (rows x cells) and each row's best node less the pruning
+        margin, for rows of energy ``total``.  Works in the flat scratch
+        ``prod`` (rows x nodes complex entries) and ``buf`` (rows x (nodes +
+        cells) floats); the bounds are a view of ``buf``."""
         rows, m = len(ys), len(self._inv_node_norms)
         nodes = prod[: rows * m].reshape(rows, m)
         amp = buf[: rows * m].reshape(rows, m)
         bound = buf[rows * m : rows * (2 * m - 1)].reshape(rows, m - 1)
         np.abs(np.matmul(ys, self._nodes_h, out=nodes), out=amp)
         amp *= self._inv_node_norms
-        total = np.sum(np.abs(ys) ** 2, axis=1)
         best = np.max(amp, axis=1) ** 2 - _PRUNE_MARGIN * total
         # the node products are spent: their memory holds reach * ||y||
         spare = prod.view(np.float64)[: rows * (m - 1)].reshape(rows, m - 1)
@@ -206,20 +211,24 @@ class ResponseGrid:
         np.maximum(amp[:, :-1], amp[:, 1:], out=bound)
         bound += reach
         bound *= bound
-        return bound, best, total
+        return bound, best
 
     def _search(self, ys, keep, total, prod, buf, picked):
-        """Refined angles of the rows of ``ys``, scoring each row only in the
-        slots ``keep`` (rows x slots) marks for it.
+        """Refined angles of the rows of ``ys``, of energy ``total``, scoring
+        each row only in the slots ``keep`` (rows x slots) marks for it.
 
         Consecutive slots kept by the same rows form a run, scored as one
         product on those rows: a slice of ``ys`` when every row keeps it, else
-        rows gathered into ``picked``, a lone row padded to two.  The runs'
-        products lie one after the other in the flat scratch ``prod``, which
-        has room for the kept slots plus two rows of slots.  Their costs, in
-        ``buf``, are then put in row order, each row's kept slots in grid
-        order, so that a row's argmin and its neighbours are adjacent.
+        rows gathered into ``picked``.  A one-row product takes BLAS's
+        matrix-vector path and rounds differently, so a lone row, of ``ys``
+        or of a run, is scored as two identical rows.  The runs' products lie
+        one after the other in the flat scratch ``prod``, which has room for
+        the kept slots plus two rows of slots.  Their costs, in ``buf``, are
+        then put in row order, each row's kept slots in grid order, so that a
+        row's argmin and its neighbours are adjacent.
         """
+        if len(ys) == 1:
+            return self._search(ys[[0, 0]], keep[[0, 0]], total[[0, 0]], prod, buf, picked)[:1]
         rows, slots = keep.shape
         g, w = len(self.angles_deg), _CELL_COLUMNS
         by_slot = np.ascontiguousarray(keep.T)
@@ -260,15 +269,12 @@ class ResponseGrid:
             # the last slot's padding columns, which no product writes
             span[:, stop - lo * w :] = 0.0
         costs = np.abs(prod[: used * w], out=buf[: used * w])
-        np.square(costs, out=costs)
         if same:
             # the costs are already in row order: score them as costs_batch
             # scores the whole grid
             kept_slots = np.flatnonzero(keep[0])
-            costs = costs.reshape(rows, -1)
-            np.divide(costs, self._slot_norms2[kept_slots].ravel(), out=costs)
-            costs[:, self._slot_orthogonal[kept_slots].ravel()] = 0.0
-            np.subtract(total[:, None], costs, out=costs)
+            norms2, orthogonal = self._slot_norms2[kept_slots].ravel(), self._slot_orthogonal[kept_slots].ravel()
+            costs = _score(costs.reshape(rows, -1), norms2, orthogonal, total)
             flat = np.argmin(costs, axis=1)
             idx = w * kept_slots[flat // w] + flat % w
             flat += np.arange(rows) * costs.shape[1]
@@ -285,20 +291,15 @@ class ResponseGrid:
             whole = np.dtype((np.void, w * costs.itemsize))
             costs = np.take(costs.view(whole), order, out=prod.view(whole)[:used], mode="clip")
             norms = np.take(self._slot_norms2.view(whole).ravel(), kept_slots, out=buf.view(whole)[:used], mode="clip")
-            costs = costs.view(np.float64).reshape(used, w)
-            np.divide(costs, norms.view(np.float64).reshape(used, w), out=costs)
-            fix = np.flatnonzero(self._orthogonal_slots[kept_slots])
-            costs[fix] = np.where(self._slot_orthogonal[kept_slots[fix]], 0.0, costs[fix])
-            np.subtract(total[kept_rows][:, None], costs, out=costs)
+            norms2 = norms.view(np.float64).reshape(used, w)
+            costs = _score(costs.view(np.float64).reshape(used, w), norms2, self._slot_orthogonal[kept_slots], total[kept_rows])
             # each row's first minimum, as a dense argmin: its first cost
-            # equal to the row's least, or its first NaN; found by slot (its
-            # flags read as w // 8 words, which takes less memory than
-            # listing every tie of a flat row), then within the slot
+            # equal to the row's least; found by slot (its flags read as
+            # w // 8 words, which takes less memory than listing every tie
+            # of a flat row), then within the slot
             row_first = np.searchsorted(kept_rows, np.arange(rows))
             row_low = np.minimum.reduceat(costs.ravel(), w * row_first)
             hit = np.equal(costs, row_low[kept_rows][:, None])
-            if np.isnan(row_low).any():
-                hit |= np.isnan(costs)
             words = np.ascontiguousarray(hit.view(np.uint64).T)
             hits = np.flatnonzero(np.bitwise_or.reduce(words, axis=0))
             at = hits[np.searchsorted(hits, row_first)]
@@ -337,41 +338,40 @@ class ResponseGrid:
         """Refined angle estimates for a batch of observations: the grid
         argmin (lowest angle wins ties) plus one parabolic refinement.
 
-        Returns only the angles.  Each row scores exactly only the cells its
-        own bound keeps, or its block's union of them when that is barely
-        more, with the bits of the dense costs there, so that its argmin and
-        the argmin's neighbours are the dense ones.  Rows are bounded in
-        steps, then scored in parts of whole rows whose kept cells fit the
-        scratch.
+        Returns only the angles, and raises ValueError on a frame whose
+        energy ||y||^2 is not finite: one holding a NaN or an infinity, or
+        entries so large (about 1e154) that their squares overflow.  Each
+        row scores exactly only the cells its own bound keeps, or its
+        block's union of them when that is barely more, with the bits of
+        the dense costs there, so that its argmin and the argmin's
+        neighbours are the dense ones.  Rows are bounded in steps, then
+        scored in parts of whole rows whose kept cells fit the scratch.
         """
         n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._cell_reach)
-        # A one-row product takes BLAS's matrix-vector path and rounds
-        # differently, so a lone frame is scored twice and a one-row tail
-        # joins the block or part before it.
-        if n == 1:
-            return self.estimate_batch(np.concatenate([ys, ys]))[:1]
+        # finite energies leave no cost or bound NaN: a cost is at worst -inf
+        with np.errstate(over="ignore"):
+            total = np.sum(np.abs(ys) ** 2, axis=1)
+        bad = np.flatnonzero(~np.isfinite(total))
+        if len(bad):
+            raise ValueError(f"frame {bad[0]} is not finite or too large: ||y||^2 = {total[bad[0]]!r}")
         # Scratch for the products and costs of ``budget`` kept entries.  A
         # block's rows are bounded ``step`` rows at a time in the same
         # memory, then scored together.
         budget, block, step = self._block_shape(ys)
-        blocks = [lo for lo in range(0, n, block) if lo == 0 or n - lo > 1] + [n]
         prod = np.empty(budget + 2 * slots * w, dtype=complex)
         buf = np.empty(budget + slots * w)
-        keep = np.empty((min(n, block + 1), slots), dtype=bool)
-        total = np.empty(len(keep))
-        picked = np.empty((len(keep), ys.shape[1]), dtype=ys.dtype)
+        keep = np.empty((min(n, block), slots), dtype=bool)
+        picked = np.empty((max(2, len(keep)), ys.shape[1]), dtype=ys.dtype)
         out = np.empty(n)
-        for lo, hi in zip(blocks, blocks[1:]):
-            rows = hi - lo
+        for lo in range(0, n, block):
+            rows = min(n - lo, block)
             kept = keep[:rows]
             for a in range(0, rows, step):
                 b = min(rows, a + step)
-                bound, best, total[a:b] = self._bounds(ys[lo + a : lo + b], prod, buf)
-                np.less(bound, best[:, None], out=kept[a:b, :cells])
-            # a NaN bound or best keeps the cell; slots past the last cell
-            # follow it
+                bound, best = self._bounds(ys[lo + a : lo + b], total[lo + a : lo + b], prod, buf)
+                np.greater_equal(bound, best[:, None], out=kept[a:b, :cells])
+            # slots past the last cell follow it
             kept[:, cells:] = kept[:, cells - 1 : cells]
-            np.logical_not(kept, out=kept)
             union = np.any(kept, axis=0)
             if rows * np.count_nonzero(union) <= _UNION_SCORE * np.count_nonzero(kept):
                 kept[:] = union
@@ -380,7 +380,6 @@ class ResponseGrid:
             a = 0
             while a < rows:
                 b = max(a + 1, int(np.searchsorted(ends, ends[a] + budget // w, side="right")) - 1)
-                b += b == rows - 1
-                out[lo + a : lo + b] = self._search(ys[lo + a : lo + b], kept[a:b], total[a:b], prod, buf, picked)
+                out[lo + a : lo + b] = self._search(ys[lo + a : lo + b], kept[a:b], total[lo + a : lo + b], prod, buf, picked)
                 a = b
         return out

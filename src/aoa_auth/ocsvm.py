@@ -42,11 +42,11 @@ class OcsvmParams:
         if isinstance(self.gamma, str):
             if self.gamma != MEDIAN_HEURISTIC:
                 raise ValueError(f"gamma must be a number or {MEDIAN_HEURISTIC!r}")
-        elif not (math.isfinite(self.gamma) and self.gamma > 0):
+        elif isinstance(self.gamma, bool) or not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError(f"explicit gamma must be finite and positive, got {self.gamma!r}")
         # a fit with tol <= 0 spends the whole iteration budget, then raises
-        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
-            raise ValueError("solver_tol must be finite and positive")
+        if isinstance(self.solver_tol, bool) or not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise ValueError(f"solver_tol must be finite and positive, got {self.solver_tol!r}")
         # a float budget could be nan (no fit ever converges) or inf (a
         # non-converging fit never stops)
         if isinstance(self.max_iters, bool) or not (
@@ -66,7 +66,7 @@ class OcsvmConvergenceError(RuntimeError):
 
 def kernel(x, y, gamma: float):
     """Gaussian kernel exp(-gamma * (x - y)^2) on scalar angles."""
-    if not (math.isfinite(gamma) and gamma > 0):
+    if isinstance(gamma, bool) or not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     return np.exp(-gamma * d * d)
@@ -160,31 +160,26 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     g_low = np.where(alpha > 0.0, grad, -np.inf)
     step = np.empty(l)
     rows = [None] * l
-    kernel_rows = 0
     a = alpha.tolist()
     tol = params.solver_tol
 
-    converged = False
-    violation = np.inf
+    # max_iters >= 1, so the loop sets the violation before it ends
     iterations = 0
     while iterations < params.max_iters:
         i = int(g_up.argmin())
         g_i = g_up.item(i)
         if g_i == np.inf:
             # nu = 1: every weight sits at the box bound, nothing to optimize
-            converged = True
             violation = 0.0
             break
         j = int(g_low.argmax())
         violation = g_low.item(j) - g_i
         if violation < tol:
-            converged = True
             break
         for k in (i, j):
             if rows[k] is None:
                 d = x.item(k) - x
                 rows[k] = np.exp(-gamma * d * d)
-                kernel_rows += 1
         k_i = rows[i]
         # K_ii = K_jj = exp(-0.0) = 1 exactly on finite samples
         quad = 2.0 - 2.0 * k_i.item(j)
@@ -200,7 +195,7 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
             g_up[k] = g_k if a[k] < c else np.inf
             g_low[k] = g_k if a[k] > 0.0 else -np.inf
         iterations += 1
-    if not converged:
+    else:
         raise OcsvmConvergenceError(float(violation), params.max_iters)
     alpha = np.array(a)
     grad = np.where(alpha < c, g_up, g_low)
@@ -227,5 +222,5 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
         degenerate_rho=degenerate,
         iterations=iterations,
         kkt_violation=float(violation),
-        kernel_rows=kernel_rows,
+        kernel_rows=sum(row is not None for row in rows),
     )

@@ -10,12 +10,15 @@ from aoa_auth import (
     NodeGeometry,
     PilotSequence,
     ProbeSchedule,
+    ResponseGrid,
     attack_pilots,
     channel_amplitude,
     code_based_attack,
     location_based_attack,
+    noise_variance,
     random_attack,
     received_signal,
+    synthesize_observation,
 )
 from aoa_auth.attacks import DegenerateAttackError
 
@@ -145,6 +148,46 @@ class TestLocationBasedAttack:
             ctx = default_ctx(eve_aoa=theta_e, target=theta_a)
             p, _ = location_based_attack(ctx)
             assert np.sum(np.abs(p.symbols) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestLocationAttackMetamorphic:
+    # Eve's noiseless frame under the location-based attack is alpha times
+    # Alice's from the same distance, and the channel amplitude falls as 1/d,
+    # so Eve at d sends what Alice sends from d / alpha.  With the same noise
+    # stream both get the same estimates, so P_MD(theta_e, d) is the
+    # verifier's acceptance of Alice at d / alpha.
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        ctx = default_ctx()
+        return ResponseGrid(ctx.schedule, ctx.alice_pilots)
+
+    @staticmethod
+    def estimates(grid, pilots, geometry, seed):
+        cfg = ArrayConfig()
+        signal = received_signal(grid.schedule, geometry, pilots, cfg)
+        frames = synthesize_observation(signal, noise_variance(cfg), 2000, np.random.default_rng(seed))
+        return grid.estimate_batch(frames)
+
+    @pytest.mark.parametrize("theta_e", [5.0, 20.0, 45.0, 60.0])
+    def test_eve_at_d_is_alice_at_d_over_alpha(self, grid, theta_e):
+        ctx = default_ctx(eve_aoa=theta_e)
+        pilots, alpha = location_based_attack(ctx)
+        assert 0.0 < alpha < 1.0
+        for seed, d in enumerate((1.0, 10.0, 25.0)):
+            eve = self.estimates(grid, pilots, NodeGeometry(d, theta_e), seed)
+            alice = self.estimates(grid, ctx.alice_pilots, NodeGeometry(d / alpha, 0.0), seed)
+            assert np.max(np.abs(eve - alice)) <= 1e-9, d
+
+    def test_null_aligned_attack_is_one_distribution_at_every_distance(self, grid):
+        # alpha = 0 at 30 deg: the verifier receives only noise, so Eve's
+        # estimates, and P_MD(30 deg, d), are the same at every distance
+        pilots, alpha = location_based_attack(default_ctx(eve_aoa=30.0))
+        assert alpha == 0.0
+        far = self.estimates(grid, pilots, NodeGeometry(2000.0, 30.0), seed=3)
+        for d in (1.0, 10.0, 100.0):
+            near = self.estimates(grid, pilots, NodeGeometry(d, 30.0), seed=3)
+            assert np.max(np.abs(near - far)) <= 1e-6, d
 
 
 class TestDispatch:

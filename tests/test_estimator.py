@@ -158,7 +158,8 @@ class TestCostCurve:
         assert np.array_equal(data[:, 1], curve.costs)
 
     def test_rejects_bad_grid_step(self, setup):
-        for step in (0.0, -1.0, 1e-6, 0.000999, 10.5, np.nan):
+        # True would pass as the number 1 and build a 1 deg grid
+        for step in (0.0, -1.0, 1e-6, 0.000999, 10.5, np.nan, True):
             with pytest.raises(ValueError, match="grid_step_deg"):
                 cost_curve(setup, alice_obs(setup), grid_step_deg=step)
 
@@ -301,7 +302,7 @@ class TestEstimateBatchBlocking:
     def test_parts_of_rows_keeping_every_cell(self, grid):
         # all-zero rows keep every cell, so a block is scored in parts of the
         # rows whose whole grid fits the scratch (33 at 0.05 deg); k parts
-        # and one such row leave a one-row tail, which joins the part before
+        # and one such row leave a one-row part, scored as two identical rows
         budget = grid._block_shape(np.empty((1, 17), dtype=complex))[0]
         part = budget // grid._slot_norms2.size
         assert part > 2
@@ -337,6 +338,24 @@ class TestEstimateBatchBlocking:
             z = sched.beam_gains(est.theta_hat_deg) * pilots.symbols
             cost = naive_cost(list(y), list(z))
             assert est.cost_at_min == pytest.approx(cost, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), 1e200])
+    def test_rejects_non_finite_frames(self, grid, block, bad):
+        # a NaN, an infinity or an entry whose square overflows makes the
+        # frame's energy non-finite; the error names the first such frame,
+        # before any arithmetic that would warn.  Row 530 lies in the
+        # second block.
+        assert block < 530
+        y = _frames(grid, 1, seed=51)[0]
+        y[7] = bad
+        for call in (grid.estimate, lambda y: grid.estimate_batch(y[None, :])):
+            with pytest.raises(ValueError, match=r"frame 0 is not finite"):
+                call(y)
+        for row in (0, 3, 530, 599):
+            ys = _frames(grid, 600, seed=52)
+            ys[row, 7] = ys[599, 2] = bad
+            with pytest.raises(ValueError, match=rf"frame {row} is not finite"):
+                grid.estimate_batch(ys)
 
     def test_empty_batch(self, grid):
         assert grid.estimate_batch(np.empty((0, 17), dtype=complex)).shape == (0,)
@@ -490,7 +509,7 @@ class TestPrunedSearchExact:
         widths = np.diff(np.r_[_nodes(g)[:-1], g])
 
         def kept(frames):
-            bound, best, _ = _bounds(grid, frames)
+            bound, best = _bounds(grid, frames)
             return ~(bound < best[:, None]) @ widths / g
 
         assert kept(synthesize_observation(signal, noise_variance(cfg), 48, rng)).mean() < 0.04
@@ -520,9 +539,11 @@ def _nodes(g):
 
 
 def _bounds(grid, ys):
-    # the per-row cell bounds of the coarse pass, in scratch of its own
+    # the per-row cell bounds and best nodes of the coarse pass, for rows of
+    # energy ||y||^2, in scratch of its own
     g = len(grid.angles_deg)
-    return grid._bounds(ys, np.empty(len(ys) * g, dtype=complex), np.empty(len(ys) * g))
+    total = np.sum(np.abs(ys) ** 2, axis=1)
+    return grid._bounds(ys, total, np.empty(len(ys) * g, dtype=complex), np.empty(len(ys) * g))
 
 
 def _two_tone_frames(grid, u_peaks):
@@ -562,7 +583,7 @@ class TestCellBoundSoundness:
 
     @staticmethod
     def check(grid, ys):
-        bound, _, _ = _bounds(grid, ys)
+        bound, _ = _bounds(grid, ys)
         proj = np.abs(ys @ grid._responses_h) ** 2 / np.where(grid.norms2 > 0.0, grid.norms2, 1.0)
         proj[:, grid.norms2 == 0.0] = 0.0
         nodes = _nodes(len(grid.angles_deg))

@@ -44,6 +44,11 @@ class TestKernel:
         with pytest.raises(ValueError, match=repr(gamma)):
             kernel(0.0, 1.0, gamma)
 
+    def test_rejects_bool_gamma(self):
+        # True passes as the number 1 unless refused by type
+        with pytest.raises(ValueError, match="True"):
+            kernel(0.0, 1.0, True)
+
 
 class TestMedianHeuristic:
     def test_two_points(self):
@@ -329,6 +334,10 @@ class TestTrain:
             dict(max_iters=True),
             dict(nu=True),
             dict(nu="0.1"),
+            # True passed as the number 1: a fit then stopped at once,
+            # unconverged, at a KKT violation below 1
+            dict(solver_tol=True),
+            dict(gamma=True),
         ],
     )
     def test_rejects_solver_settings_that_cannot_converge(self, kwargs):
