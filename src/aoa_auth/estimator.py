@@ -79,7 +79,6 @@ class CostCurve:
 class AoaEstimate:
     theta_hat_deg: float
     cost_at_min: float
-    gain_hat: complex
 
 
 def gain_hat(z: np.ndarray, y: np.ndarray) -> complex:
@@ -135,9 +134,9 @@ class ResponseGrid:
             * np.outer(np.sin(np.deg2rad(self.angles_deg)), np.arange(1, n + 1))
         )
         # rows z(theta_j) = (w_t^H a(theta_j)) s_t
-        self.responses = (steer @ schedule.combiners.conj().T) * self.symbols[None, :]
-        self.norms2 = np.sum(np.abs(self.responses) ** 2, axis=1)
-        self._responses_h = self.responses.conj().T
+        responses = (steer @ schedule.combiners.conj().T) * self.symbols[None, :]
+        norms2 = np.sum(np.abs(responses) ** 2, axis=1)
+        self._responses_h = responses.conj().T
 
         # Pruning cells: cell c spans the columns between nodes c and c + 1,
         # nodes being every _CELL_COLUMNS-th column and the last one; it is
@@ -148,7 +147,7 @@ class ResponseGrid:
         nodes = np.minimum(np.arange(0, g + _CELL_COLUMNS - 1, _CELL_COLUMNS), g - 1)
         self._nodes_h = np.ascontiguousarray(self._responses_h[:, nodes])
         # 1 / ||z||, 0 where ||z|| = 0, so that zh = z / ||z|| is 0 there
-        inv_norms = np.divide(1.0, np.sqrt(self.norms2), out=np.zeros(g), where=self.norms2 > 0.0)
+        inv_norms = np.divide(1.0, np.sqrt(norms2), out=np.zeros(g), where=norms2 > 0.0)
         self._inv_node_norms = inv_norms[nodes]
         # Column j of cell [a, b] is the chord ((b - j) zh_a + (j - a) zh_b) /
         # (b - a) plus a residual, and column a - 1 (b + 1) is zh_a (zh_b) plus
@@ -156,14 +155,19 @@ class ResponseGrid:
         # that |zh_j^H y| <= max(|zh_a^H y|, |zh_b^H y|) + reach * ||y||.  It is
         # built one column offset at a time, with room for rounding.
         a, b = nodes[:-1], nodes[1:]
-        za, zb = (self.responses[c] * inv_norms[c, None] for c in (a, b))
+        za, zb = (responses[c] * inv_norms[c, None] for c in (a, b))
         reach = np.zeros(len(a))
         for k in range(-1, _CELL_COLUMNS + 1):
             cols = np.clip(np.minimum(a + k, b + 1), 0, g - 1)
             t = np.clip(k / (b - a), 0.0, 1.0)[:, None]
-            residual = self.responses[cols] * inv_norms[cols, None] - (1.0 - t) * za - t * zb
+            residual = responses[cols] * inv_norms[cols, None] - (1.0 - t) * za - t * zb
             np.maximum(reach, np.linalg.norm(residual, axis=1), out=reach)
         self._cell_reach = reach * (1.0 + 1e-9)
+        # The largest ||y||^2 a frame may have: |z^H y|^2 is at most
+        # ||z||^2 ||y||^2 and a cell's squared bound (1 + reach)^2 ||y||^2,
+        # so twice the larger gain leaves both finite, with room for rounding.
+        gain = max(np.max(norms2), (1.0 + np.max(self._cell_reach)) ** 2)
+        self._max_energy = np.finfo(float).max / (2.0 * gain)
         # Slots: the grid padded to whole _CELL_COLUMNS-wide slots, slot k
         # holding columns k * _CELL_COLUMNS onwards; slot k belongs to cell k,
         # and any slot past the last cell to the last cell, which spans 17
@@ -171,25 +175,34 @@ class ResponseGrid:
         # zero-norm ones, as ||y||^2, after every real column of their row.
         slots = -(-g // _CELL_COLUMNS)
         pad = slots * _CELL_COLUMNS - g
-        self._slot_norms2 = np.r_[np.where(self.norms2 > 0.0, self.norms2, 1.0), np.ones(pad)].reshape(slots, _CELL_COLUMNS)
-        self._slot_orthogonal = np.r_[self.norms2 == 0.0, np.ones(pad, dtype=bool)].reshape(slots, _CELL_COLUMNS)
+        self._slot_norms2 = np.r_[np.where(norms2 > 0.0, norms2, 1.0), np.ones(pad)].reshape(slots, _CELL_COLUMNS)
+        self._slot_orthogonal = np.r_[norms2 == 0.0, np.ones(pad, dtype=bool)].reshape(slots, _CELL_COLUMNS)
 
     @property
     def step_deg(self) -> float:
         return float(self.angles_deg[1] - self.angles_deg[0])
 
-    def costs(self, y: np.ndarray) -> np.ndarray:
-        """Cost at every grid angle for a single observation vector: its row
-        of :meth:`costs_batch` on any batch.  A one-row product takes BLAS's
-        matrix-vector path and rounds differently, so the frame is scored
-        as two identical rows, as :meth:`_search` scores a one-row part."""
-        return self.costs_batch(np.stack([y, y]))[0]
+    def _energy(self, ys):
+        """Each frame's ||y||^2, under the frame rule of both scorers: before
+        any arithmetic that could warn, a ValueError names the first frame
+        whose energy is NaN, infinite or above ``_max_energy``."""
+        with np.errstate(over="ignore"):
+            total = np.sum(np.abs(ys) ** 2, axis=1)
+        bad = np.flatnonzero(~(total <= self._max_energy))
+        if len(bad):
+            raise ValueError(f"frame {bad[0]} is not finite or too large: ||y||^2 = {total[bad[0]]!r}")
+        return total
 
     def costs_batch(self, ys: np.ndarray) -> np.ndarray:
-        """Cost matrix (batch x grid) for a batch of observation vectors."""
+        """Cost matrix (batch x grid) for a batch of any size.  A one-row
+        product takes BLAS's matrix-vector path and rounds differently, so a
+        lone frame is scored as two identical rows, as in :meth:`_search`,
+        and gets the bits of its row in any batch."""
+        if len(ys) == 1:
+            return self.costs_batch(ys[[0, 0]])[:1]
         g = len(self.angles_deg)
+        total = self._energy(ys)
         costs = np.abs(ys @ self._responses_h)
-        total = np.sum(np.abs(ys) ** 2, axis=1)
         return _score(costs, self._slot_norms2.ravel()[:g], self._slot_orthogonal.ravel()[:g], total)
 
     def _bounds(self, ys, total, prod, buf):
@@ -318,11 +331,10 @@ class ResponseGrid:
 
     def estimate(self, y: np.ndarray) -> AoaEstimate:
         """The :meth:`estimate_batch` angle of one frame, with the exact
-        cost and least-squares gain at that angle."""
+        cost at that angle under the least-squares gain."""
         theta = float(self.estimate_batch(y[None, :])[0])
         z = self.schedule.beam_gains(theta) * self.symbols
-        h = gain_hat(z, y)
-        return AoaEstimate(theta, float(np.sum(np.abs(y - h * z) ** 2)), h)
+        return AoaEstimate(theta, float(np.sum(np.abs(y - gain_hat(z, y) * z) ** 2)))
 
     def _block_shape(self, ys):
         """The kept entries a part scores at most, the rows of one block and
@@ -338,22 +350,15 @@ class ResponseGrid:
         """Refined angle estimates for a batch of observations: the grid
         argmin (lowest angle wins ties) plus one parabolic refinement.
 
-        Returns only the angles, and raises ValueError on a frame whose
-        energy ||y||^2 is not finite: one holding a NaN or an infinity, or
-        entries so large (about 1e154) that their squares overflow.  Each
-        row scores exactly only the cells its own bound keeps, or its
-        block's union of them when that is barely more, with the bits of
-        the dense costs there, so that its argmin and the argmin's
-        neighbours are the dense ones.  Rows are bounded in steps, then
-        scored in parts of whole rows whose kept cells fit the scratch.
+        Returns only the angles; frames obey :meth:`_energy`'s rule, as in
+        :meth:`costs_batch`.  Each row scores exactly only the cells its own
+        bound keeps, or its block's union of them when that is barely more,
+        with the bits of the dense costs there, so that its argmin and the
+        argmin's neighbours are the dense ones.  Rows are bounded in steps,
+        then scored in parts of whole rows whose kept cells fit the scratch.
         """
         n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._cell_reach)
-        # finite energies leave no cost or bound NaN: a cost is at worst -inf
-        with np.errstate(over="ignore"):
-            total = np.sum(np.abs(ys) ** 2, axis=1)
-        bad = np.flatnonzero(~np.isfinite(total))
-        if len(bad):
-            raise ValueError(f"frame {bad[0]} is not finite or too large: ||y||^2 = {total[bad[0]]!r}")
+        total = self._energy(ys)
         # Scratch for the products and costs of ``budget`` kept entries.  A
         # block's rows are bounded ``step`` rows at a time in the same
         # memory, then scored together.

@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -90,7 +89,10 @@ def _streams(prefix, last: np.ndarray) -> Iterator[np.random.Generator]:
     takes each row's last word and ``generate_state(4, uint64)`` runs as
     uint32 array operations, which wrap as SeedSequence's do; PCG64 seeds
     itself from each row.  ``prefix`` must hold at least 4 words, so the
-    last word falls in SeedSequence's extra mixing loop.
+    last word falls in SeedSequence's extra mixing loop.  For ``last =
+    arange(n)`` the Generators are those of ``SeedSequence(prefix).spawn(n)``'s
+    children, but spawning costs about five times as much a trial, so the
+    mixing is written out here.
     """
     if len(prefix) < 4:
         raise ValueError("a stream prefix needs at least 4 entropy words")
@@ -176,13 +178,13 @@ def run_cost_curve_experiment(
         "code_based": (eve_geom, AttackKind.CODE_BASED),
         "location_based": (eve_geom, AttackKind.LOCATION_BASED),
     }
-    curves = {}
+    frames = []
     for name, (geom, kind) in sources.items():
         rng = derive_trial_rng(scenario.master_seed, "cost-curve", name)
         tx_pilots, _ = eve_pilots(scenario, schedule, kind, eve_aoa_deg, rng)
-        y = _frames(scenario, schedule, geom, tx_pilots, 1, rng)[0]
-        curves[name] = CostCurve(grid.angles_deg, grid.costs(y))
-    return curves
+        frames.append(_frames(scenario, schedule, geom, tx_pilots, 1, rng))
+    costs = grid.costs_batch(np.concatenate(frames))
+    return {name: CostCurve(grid.angles_deg, row) for name, row in zip(sources, costs)}
 
 
 def run_estimate(scenario: Scenario, theta_deg: float, distance_m: float) -> AoaEstimate:
@@ -287,6 +289,9 @@ def run_auth_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
     grid = ResponseGrid(scenario.schedule(), scenario.alice_pilots(), scenario.grid_step_deg)
     reps = range(scenario.repetitions)
     if workers > 1:
+        # imported here: the pool's modules take 18-28 ms to import at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_auth_repetition, [scenario] * len(reps),
                                     [grid] * len(reps), reps))

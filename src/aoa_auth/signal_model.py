@@ -13,12 +13,21 @@ are in degrees; radians appear only inside trigonometric kernels.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+
+def _watts(dbm: float) -> float:
+    """The power of ``dbm`` in watts, inf where that overflows a float."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -38,10 +47,15 @@ class ArrayConfig:
             raise ValueError("carrier_freq_hz must be positive")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
+        # -inf dBm is 0 W; NaN fails every comparison
+        if not self.tx_power_watts < math.inf:
+            raise ValueError(f"tx_power_dbm must give a finite power in watts, got {self.tx_power_dbm!r}")
+        if not noise_variance(self) < math.inf:
+            raise ValueError(f"noise_psd_dbm_hz and bandwidth_hz must give a finite noise power N0*W, got {noise_variance(self)!r}")
 
     @property
     def tx_power_watts(self) -> float:
-        return 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0)
+        return _watts(self.tx_power_dbm)
 
 
 @dataclass(frozen=True)
@@ -80,8 +94,7 @@ def channel_amplitude(distance_m: float, carrier_freq_hz: float) -> float:
 
 def noise_variance(config: ArrayConfig) -> float:
     """Total complex noise variance N0*W in watts (N0 given in dBm/Hz)."""
-    n0_w_per_hz = 10.0 ** ((config.noise_psd_dbm_hz - 30.0) / 10.0)
-    return n0_w_per_hz * config.bandwidth_hz
+    return _watts(config.noise_psd_dbm_hz) * config.bandwidth_hz
 
 
 @dataclass(frozen=True)

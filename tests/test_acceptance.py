@@ -274,7 +274,7 @@ def test_criterion_9_estimator_against_bruteforce(report):
         signal = received_signal(sched, NodeGeometry(10.0, theta), pilots, cfg)
         y = synthesize_observation(signal, noise_variance(cfg), 1, rng)[0]
         t_hat = coarse.estimate(y).theta_hat_deg
-        brute = fine.angles_deg[int(np.argmin(fine.costs(y)))]
+        brute = fine.angles_deg[int(np.argmin(fine.costs_batch(y[None])[0]))]
         worst = max(worst, abs(t_hat - brute))
     clean = np.exp(0.4j) * received_signal(sched, NodeGeometry(10.0, 0.0), pilots, cfg)
     est = coarse.estimate(clean)

@@ -53,6 +53,10 @@ class TestRandomAttack:
         p = random_attack(13, np.random.default_rng(2))
         assert np.sum(np.abs(p.symbols) ** 2) == pytest.approx(1.0, abs=1e-12)
 
+    def test_needs_a_symbol(self):
+        with pytest.raises(ValueError, match="t_len"):
+            random_attack(0, np.random.default_rng(3))
+
 
 class TestCodeBasedAttack:
     def test_aligned_beams_reproduce_pilot(self):
@@ -136,6 +140,15 @@ class TestLocationBasedAttack:
         np.testing.assert_allclose(
             y_eve[live], scale * y_alice[live], rtol=1e-10, atol=0.0
         )
+
+    def test_degenerate_when_target_null_on_every_live_probe(self):
+        # Eve and the target at broadside: the second beam, w = [1, -1], is
+        # null toward both, so only the first probe is live, and Alice's
+        # pilot is zero there, so nothing of the target's signal is left
+        sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
+        ctx = AttackContext(sched, PilotSequence([0.0, 1.0]), 0.0, 0.0)
+        with pytest.raises(DegenerateAttackError):
+            location_based_attack(ctx)
 
     def test_requires_eve_angle(self):
         with pytest.raises(ValueError):

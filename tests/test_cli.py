@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,22 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def run_fresh(*args):
+    # a fresh interpreter with Python's default warning filters, as a user
+    # runs the package
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only an auth sweep with --workers > 1 uses it
+    run = run_fresh("-c", "import sys, aoa_auth.cli; "
+                    "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 class TestEstimate:
@@ -184,6 +203,12 @@ class TestValidateConfig:
         path.write_text("{not json")
         assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
 
+    def test_json_array_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([SMALL]))
+        assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+        assert "must be a JSON object" in capsys.readouterr().err
+
 
 class TestCostCurve:
     def test_writes_curves_and_manifest(self, tmp_path):
@@ -215,6 +240,39 @@ class TestCostCurve:
         assert rc == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRefusedFrames:
+    # scenarios that validate but synthesize frames the estimator refuses:
+    # the command exits 3 naming the first such frame, and writes no CSV
+
+    @pytest.mark.parametrize(
+        "command, flags, frame",
+        [("estimate", ["--theta", "10", "--distance", "1e-300"], 0),
+         ("cost-curve", ["--eve-distance", "1e-300"], 1)],
+    )
+    def test_overflowing_frame_is_runtime_error(self, tmp_path, capsys, command, flags, frame):
+        # 1e-300 m away, the frame's energy overflows; in the cost curves
+        # frame 0 is Alice's, frames 1-4 the attacker's
+        out = tmp_path / "out"
+        argv = [command, "--config", write_config(tmp_path), *flags]
+        if command == "cost-curve":
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_RUNTIME
+        assert f"runtime error (ValueError): frame {frame} is not finite or too large" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_nan_frames_fail_alike_in_every_command(self, tmp_path):
+        # the wavelength at 1e-300 Hz overflows, so every frame holds a NaN
+        # (synthesis warns about it first)
+        cfg = write_config(tmp_path, carrier_freq_hz=1e-300)
+        assert main(["validate-config", "--config", cfg]) == EXIT_OK
+        out = tmp_path / "out"
+        for argv in (["estimate", "--theta", "10"], ["cost-curve", "--out", str(out)]):
+            run = run_fresh("-m", "aoa_auth.cli", *argv, "--config", cfg)
+            assert run.returncode == EXIT_RUNTIME, run.stderr
+            assert "runtime error (ValueError): frame 0 is not finite or too large" in run.stderr
+        assert not list(out.glob("*.csv"))
 
 
 class TestSweeps:

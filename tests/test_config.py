@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from aoa_auth import AttackKind, ConfigError, Scenario
+from aoa_auth import ArrayConfig, AttackKind, ConfigError, Scenario
 from aoa_auth.cli import EXIT_CONFIG, main
-from aoa_auth.ocsvm import MEDIAN_HEURISTIC
+from aoa_auth.estimator import DEFAULT_GRID_STEP_DEG
+from aoa_auth.ocsvm import MEDIAN_HEURISTIC, OcsvmParams
 
 INT_FIELDS = ["num_antennas", "num_probes", "trials", "train_size", "test_size",
               "repetitions", "master_seed", "max_iters"]
@@ -96,13 +97,24 @@ def test_every_field_is_coerced(field):
     + [("gamma", True), ("gamma", math.nan), ("test_size", 1)]
     + [("train_size", 16_385), ("train_size", 10**9), ("trials", 10**6 + 1), ("trials", 10**12),
        ("test_size", 10**6 + 1)]
-    + [("grid_step_deg", value) for value in (0.0, -0.05, 1e-6, 0.000999, 10.5)],
+    + [("grid_step_deg", value) for value in (0.0, -0.05, 1e-6, 0.000999, 10.5)]
+    # finite in dBm, but not in watts
+    + [("tx_power_dbm", 4000.0), ("noise_psd_dbm_hz", 4000.0)],
 )
 def test_validate_config_names_the_bad_field(tmp_path, capsys, field, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({field: value}))
     assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+def test_defaults_are_the_reference_operating_point():
+    # Scenario writes out the defaults of ArrayConfig, OcsvmParams and the
+    # estimator's grid step again; any drift between them fails here
+    scenario = Scenario()
+    assert scenario.array_config() == ArrayConfig()
+    assert scenario.ocsvm_params() == OcsvmParams()
+    assert scenario.grid_step_deg == DEFAULT_GRID_STEP_DEG
 
 
 def test_readme_example_config_is_valid():

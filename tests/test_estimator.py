@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,15 +44,25 @@ def alice_obs(setup, phase=0.0, rng=None, aoa=0.0, dist=10.0):
 
 def cost_curve(setup, y, grid_step_deg=0.05):
     grid = ResponseGrid(*setup[:2], grid_step_deg)
-    return CostCurve(grid.angles_deg, grid.costs(y))
+    return CostCurve(grid.angles_deg, grid.costs_batch(y[None])[0])
+
+
+def _responses(grid):
+    # the grid's (grid x T) model responses, rows z(theta_j), with the bits
+    # and layout they were built with
+    return grid._responses_h.conj().T
+
+
+def _norms2(grid):
+    return np.sum(np.abs(_responses(grid)) ** 2, axis=1)
 
 
 def grid_row(grid, theta_deg):
-    return grid.responses[int(np.argmin(np.abs(grid.angles_deg - theta_deg)))]
+    return _responses(grid)[int(np.argmin(np.abs(grid.angles_deg - theta_deg)))]
 
 
 class TestModelResponse:
-    # the rows of ResponseGrid.responses are the unit-gain model responses
+    # the rows of the grid's responses are the unit-gain model responses
     # z_t(theta) = (w_t^H a(theta)) s_t
     def test_probe_aligned_entry_magnitude(self, setup):
         sched, pilots, _ = setup
@@ -71,7 +82,11 @@ class TestModelResponse:
         symbols[3] = 1.0
         grid = ResponseGrid(sched, PilotSequence(symbols))
         # at every grid angle, 17 deg included
-        assert np.all(np.delete(grid.responses, 3, axis=1) == 0)
+        assert np.all(np.delete(_responses(grid), 3, axis=1) == 0)
+
+    def test_rejects_pilots_of_wrong_length(self, setup):
+        with pytest.raises(ValueError, match="pilot length"):
+            ResponseGrid(setup[0], PilotSequence.constant(16))
 
 
 class TestGainHat:
@@ -106,6 +121,10 @@ class TestGainHat:
 
     def test_all_zero_model(self):
         assert gain_hat(np.zeros(3, dtype=complex), np.ones(3, dtype=complex)) == 0.0
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            gain_hat(np.ones(3, dtype=complex), np.ones(4, dtype=complex))
 
 
 class TestCostCurve:
@@ -157,6 +176,10 @@ class TestCostCurve:
         assert np.array_equal(data[:, 0], curve.angles_deg)
         assert np.array_equal(data[:, 1], curve.costs)
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            CostCurve(np.zeros(3), np.zeros(4))
+
     def test_rejects_bad_grid_step(self, setup):
         # True would pass as the number 1 and build a 1 deg grid
         for step in (0.0, -1.0, 1e-6, 0.000999, 10.5, np.nan, True):
@@ -200,16 +223,16 @@ class TestEstimateAoa:
         rng = np.random.default_rng(9)
         y = alice_obs(setup, rng=rng)
         grid = ResponseGrid(*setup[:2])
-        c1 = grid.costs(y)
-        c2 = grid.costs(y * np.exp(1j * 1.234))
+        c1 = grid.costs_batch(y[None])[0]
+        c2 = grid.costs_batch(y[None] * np.exp(1j * 1.234))[0]
         np.testing.assert_allclose(c1, c2, rtol=1e-10)
 
     def test_positive_scaling_invariance(self, setup):
         rng = np.random.default_rng(10)
         y = alice_obs(setup, rng=rng)
         grid = ResponseGrid(*setup[:2])
-        c1 = grid.costs(y)
-        c2 = grid.costs(3.0 * y)
+        c1 = grid.costs_batch(y[None])[0]
+        c2 = grid.costs_batch(3.0 * y[None])[0]
         np.testing.assert_allclose(c2, 9.0 * c1, rtol=1e-10)
         # refinement is scale-invariant up to floating rounding in the
         # parabola coefficients
@@ -236,15 +259,16 @@ class TestEstimateAoa:
         for _ in range(10):
             y = alice_obs(setup, rng=rng)
             t_hat = coarse.estimate(y).theta_hat_deg
-            brute = fine.angles_deg[int(np.argmin(fine.costs(y)))]
+            brute = fine.angles_deg[int(np.argmin(fine.costs_batch(y[None])[0]))]
             assert abs(t_hat - brute) <= 0.05
 
 
 def _dense_costs(grid, ys):
     # the cost expression as one dense pass over the whole batch
-    safe = np.where(grid.norms2 > 0.0, grid.norms2, 1.0)
-    proj = np.abs(ys @ grid.responses.conj().T) ** 2 / safe[None, :]
-    proj[:, grid.norms2 == 0.0] = 0.0
+    norms2 = _norms2(grid)
+    safe = np.where(norms2 > 0.0, norms2, 1.0)
+    proj = np.abs(ys @ _responses(grid).conj().T) ** 2 / safe[None, :]
+    proj[:, norms2 == 0.0] = 0.0
     total = np.sum(np.abs(ys) ** 2, axis=1)
     return total[:, None] - proj
 
@@ -269,13 +293,14 @@ def _frames(grid, n, seed):
     # a mix of pure-noise frames and noisy model responses at random grid
     # angles, the grid edges included
     rng = np.random.default_rng(seed)
-    t = grid.responses.shape[1]
+    responses = _responses(grid)
+    t = responses.shape[1]
     ys = 0.1 * (rng.standard_normal((n, t)) + 1j * rng.standard_normal((n, t)))
     signal = rng.random(n) < 0.7
     cols = rng.integers(0, len(grid.angles_deg), n)
     cols[: min(n, 4)] = [0, len(grid.angles_deg) - 1, 0, 1][: min(n, 4)]
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-    ys[signal] += phases[signal, None] * grid.responses[cols[signal]]
+    ys[signal] += phases[signal, None] * responses[cols[signal]]
     return ys
 
 
@@ -342,20 +367,60 @@ class TestEstimateBatchBlocking:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), 1e200])
     def test_rejects_non_finite_frames(self, grid, block, bad):
         # a NaN, an infinity or an entry whose square overflows makes the
-        # frame's energy non-finite; the error names the first such frame,
+        # frame's energy non-finite; both scorers name the first such frame,
         # before any arithmetic that would warn.  Row 530 lies in the
         # second block.
         assert block < 530
         y = _frames(grid, 1, seed=51)[0]
         y[7] = bad
-        for call in (grid.estimate, lambda y: grid.estimate_batch(y[None, :])):
+        for call in (grid.estimate, lambda y: grid.estimate_batch(y[None, :]), lambda y: grid.costs_batch(y[None, :])):
             with pytest.raises(ValueError, match=r"frame 0 is not finite"):
                 call(y)
         for row in (0, 3, 530, 599):
             ys = _frames(grid, 600, seed=52)
             ys[row, 7] = ys[599, 2] = bad
-            with pytest.raises(ValueError, match=rf"frame {row} is not finite"):
-                grid.estimate_batch(ys)
+            for score in (grid.estimate_batch, grid.costs_batch):
+                with pytest.raises(ValueError, match=rf"frame {row} is not finite"):
+                    score(ys)
+
+    def test_rejects_frames_whose_products_overflow(self, grid):
+        # energy 1.69e308 along the 0 deg column is finite, but |z^H y|^2
+        # there is ||z||^2 = 67.5 times that; both scorers refuse the frame,
+        # alone or as row 4 of a batch
+        y = _responses(grid)[1800]
+        y = y * (np.sqrt(1.69e308) / np.linalg.norm(y))
+        assert np.isfinite(np.sum(np.abs(y) ** 2))
+        ys = _frames(grid, 6, seed=53)
+        ys[4] = y
+        for score in (grid.costs_batch, grid.estimate_batch):
+            with pytest.raises(ValueError, match=r"frame 0 is not finite or too large"):
+                score(y[None])
+            with pytest.raises(ValueError, match=r"frame 4 is not finite or too large"):
+                score(ys)
+
+    @pytest.mark.parametrize("dip", [False, True])
+    def test_frames_within_the_energy_limit_score_without_warnings(self, setup, dip):
+        # the default grid, or the norm-dip grid of
+        # test_matches_dense_search_beside_a_norm_dip, whose cells reach
+        # further.  Frames along every 7th column's response (|z^H y|^2 at
+        # its largest) and along each cell's worst residual (its bound at
+        # its largest), at half the largest energy a frame may have, score
+        # with no overflow; at twice it, frame 5 is refused.
+        if dip:
+            sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
+            grid = ResponseGrid(sched, PilotSequence([1e-3, np.sqrt(1.0 - 1e-6)]), 90.0 / 1792)
+        else:
+            grid = ResponseGrid(*setup[:2])
+        ys = np.concatenate([_responses(grid)[::7], _worst_residual_frames(grid)])
+        ys *= np.sqrt(0.5 * grid._max_energy) / np.linalg.norm(ys, axis=1)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(grid.costs_batch(ys)))
+            assert np.all(np.isfinite(grid.estimate_batch(ys)))
+        ys[5] *= 2.0
+        for score in (grid.costs_batch, grid.estimate_batch):
+            with pytest.raises(ValueError, match=r"frame 5 is not finite or too large"):
+                score(ys)
 
     def test_empty_batch(self, grid):
         assert grid.estimate_batch(np.empty((0, 17), dtype=complex)).shape == (0,)
@@ -366,7 +431,7 @@ class TestCostsMatchDenseExpression:
         grid = ResponseGrid(*setup[:2])
         ys = _frames(grid, 37, seed=31)
         assert np.array_equal(grid.costs_batch(ys), _dense_costs(grid, ys))
-        assert np.array_equal(grid.costs(ys[5]), _dense_costs(grid, ys)[5])
+        assert np.array_equal(grid.costs_batch(ys[5:6])[0], _dense_costs(grid, ys)[5])
 
     def test_zero_norm_columns(self):
         # the second beam w = [1, -1] is null at broadside, and the zero
@@ -374,13 +439,13 @@ class TestCostsMatchDenseExpression:
         # the grid has zero norm and is masked
         sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
         grid = ResponseGrid(sched, PilotSequence([0.0, 1.0]))
-        assert np.array_equal(np.flatnonzero(grid.norms2 == 0.0), [1800])
+        assert np.array_equal(np.flatnonzero(_norms2(grid) == 0.0), [1800])
         rng = np.random.default_rng(32)
         ys = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
         costs = grid.costs_batch(ys)
         assert np.array_equal(costs, _dense_costs(grid, ys))
         assert np.array_equal(costs[:, 1800], np.sum(np.abs(ys) ** 2, axis=1))
-        assert np.array_equal(grid.costs(ys[0]), costs[0])
+        assert np.array_equal(grid.costs_batch(ys[:1])[0], costs[0])
 
     def test_single_frame_is_its_batch_row(self, setup):
         # a one-row product takes BLAS's matrix-vector path, which moves
@@ -391,7 +456,7 @@ class TestCostsMatchDenseExpression:
         ys = np.stack([alice_obs(setup, rng=rng, dist=300.0) for _ in range(50)])
         costs = grid.costs_batch(ys)
         for k, y in enumerate(ys):
-            assert np.array_equal(grid.costs(y), costs[k]), k
+            assert np.array_equal(grid.costs_batch(y[None])[0], costs[k]), k
 
 
 def _chunked_dense_estimates(grid, ys, chunk=512):
@@ -487,13 +552,13 @@ class TestPrunedSearchExact:
         # the 0 deg column has zero norm and the norms vary 0 to 2 nearby
         sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
         grid = ResponseGrid(sched, PilotSequence([0.0, 1.0]), step)
-        assert np.count_nonzero(grid.norms2 == 0.0) == 1
+        assert np.count_nonzero(_norms2(grid) == 0.0) == 1
         rng = np.random.default_rng(94)
         n = 20_000
         ys = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         # frames along model responses, grouped, plus all-zero frames
         cols = np.repeat(rng.integers(0, len(grid.angles_deg), n // 100), 100)
-        ys[: n // 2] = 0.01 * ys[: n // 2] + grid.responses[cols[: n // 2]]
+        ys[: n // 2] = 0.01 * ys[: n // 2] + _responses(grid)[cols[: n // 2]]
         ys[n // 2 : n // 2 + 100] = 0.0
         assert np.array_equal(grid.estimate_batch(ys), _chunked_dense_estimates(grid, ys))
 
@@ -564,8 +629,8 @@ def _worst_residual_frames(grid):
     # their worst columns reach 0.9986 of it at 0.05 deg, and on the norm-dip
     # grid a reach 1% too small no longer covers them
     g = len(grid.angles_deg)
-    norms = np.sqrt(grid.norms2)[:, None]
-    unit = np.divide(grid.responses, norms, out=np.zeros_like(grid.responses), where=norms > 0.0)
+    responses, norms = _responses(grid), np.sqrt(_norms2(grid))[:, None]
+    unit = np.divide(responses, norms, out=np.zeros_like(responses), where=norms > 0.0)
     nodes = _nodes(g)
     frames = []
     for a, b in zip(nodes[:-1], nodes[1:]):
@@ -584,8 +649,9 @@ class TestCellBoundSoundness:
     @staticmethod
     def check(grid, ys):
         bound, _ = _bounds(grid, ys)
-        proj = np.abs(ys @ grid._responses_h) ** 2 / np.where(grid.norms2 > 0.0, grid.norms2, 1.0)
-        proj[:, grid.norms2 == 0.0] = 0.0
+        norms2 = _norms2(grid)
+        proj = np.abs(ys @ grid._responses_h) ** 2 / np.where(norms2 > 0.0, norms2, 1.0)
+        proj[:, norms2 == 0.0] = 0.0
         nodes = _nodes(len(grid.angles_deg))
         for c, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
             worst = proj[:, max(a - 1, 0) : b + 2].max(axis=1)
@@ -618,7 +684,7 @@ class TestCellBoundSoundness:
         grid = ResponseGrid(sched, PilotSequence([eps, np.sqrt(1.0 - eps**2)]))
         rng = np.random.default_rng(97)
         ys = rng.standard_normal((600, 2)) + 1j * rng.standard_normal((600, 2))
-        ys[:300] = 0.01 * ys[:300] + grid.responses[rng.integers(0, len(grid.angles_deg), 300)]
+        ys[:300] = 0.01 * ys[:300] + _responses(grid)[rng.integers(0, len(grid.angles_deg), 300)]
         ys[300:400, 0] += np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 100))
         self.check(grid, np.concatenate([ys, _worst_residual_frames(grid)]))
 

@@ -177,6 +177,9 @@ class TestStreamDerivation:
             [_state(derive_trial_rng(7, "rmse", "code-based", 45.0, 10.0, k))
              for k in range(150)]
         ]
+        # they are numpy's children of the point's SeedSequence
+        point = np.random.SeedSequence(harness._entropy(7, "rmse", "code-based", 45.0, 10.0))
+        assert drawn == [[_state(np.random.default_rng(child)) for child in point.spawn(150)]]
 
 
 @pytest.fixture(scope="module")

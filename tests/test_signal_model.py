@@ -103,6 +103,27 @@ class TestChannelAmplitude:
             channel_amplitude(0.0, 2.5e9)
 
 
+class TestArrayConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_antennas", 1), ("carrier_freq_hz", 0.0), ("bandwidth_hz", -20e6),
+         ("tx_power_dbm", 4000.0), ("noise_psd_dbm_hz", 4000.0), ("tx_power_dbm", np.nan)],
+    )
+    def test_rejects_unusable_field(self, field, value):
+        # 4000 dBm overflows a float in watts
+        with pytest.raises(ValueError, match=field):
+            ArrayConfig(**{field: value})
+
+    def test_rejects_infinite_noise_power(self):
+        # N0 = 1e297 W/Hz is finite, N0 * W is not
+        with pytest.raises(ValueError, match=r"noise_psd_dbm_hz and bandwidth_hz .* N0\*W"):
+            ArrayConfig(noise_psd_dbm_hz=3000.0, bandwidth_hz=1e20)
+
+    def test_minus_infinite_dbm_is_zero_watts(self):
+        assert ArrayConfig(tx_power_dbm=-np.inf).tx_power_watts == 0.0
+        assert noise_variance(ArrayConfig(noise_psd_dbm_hz=-np.inf)) == 0.0
+
+
 class TestNoiseVariance:
     def test_thermal_floor_20mhz(self):
         cfg = ArrayConfig(noise_psd_dbm_hz=-174.0, bandwidth_hz=20e6)
@@ -140,6 +161,16 @@ class TestProbeSchedule:
         with pytest.raises(ValueError):
             ProbeSchedule(np.array([0.0, 10.0]), np.full((2, 4), 0.5 + 0j))
 
+    @pytest.mark.parametrize(
+        "angles, combiners, match",
+        [(np.zeros((2, 1)), np.ones((2, 4)), "1-D"), (np.zeros(2), np.ones(4), "2-D"),
+         (np.zeros(3), np.ones((2, 4)), "length mismatch"),
+         (np.array([0.0, 90.5]), np.ones((2, 4)), r"\[-90, 90\]")],
+    )
+    def test_rejects_malformed_schedule(self, angles, combiners, match):
+        with pytest.raises(ValueError, match=match):
+            ProbeSchedule(angles, combiners)
+
 
 class TestPilotSequence:
     def test_constant_pilot_energy(self):
@@ -149,6 +180,14 @@ class TestPilotSequence:
     def test_rejects_wrong_energy(self):
         with pytest.raises(ValueError):
             PilotSequence(np.ones(4))
+
+    def test_rejects_symbols_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            PilotSequence(np.full((2, 2), 0.5))
+
+    def test_constant_needs_a_symbol(self):
+        with pytest.raises(ValueError, match="t_len"):
+            PilotSequence.constant(0)
 
 
 class TestSynthesizeObservation:
