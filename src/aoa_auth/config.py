@@ -55,9 +55,9 @@ _COERCIONS = {
 
 # usable range of each count field that no simulator object checks.  An auth
 # sweep tests on test_size // 2 frames per side; an OCSVM fit on train_size
-# estimates holds the median heuristic's l(l-1)/2 squared distances, 1 GiB at
-# 16,384, and a cache of at most l kernel rows; one sweep point holds trials
-# (or test_size) frames, 272 MB at 10^6 of 17 probes.
+# estimates caches at most l kernel rows of l floats, 2 GiB at 16,384 (an
+# auth-far fit touches about 200 of 1,000); one sweep point holds trials (or
+# test_size) frames, 272 MB at 10^6 of 17 probes.
 _LIMITS = {
     "num_probes": (2, math.inf),
     "trials": (1, 10**6),

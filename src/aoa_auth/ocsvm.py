@@ -27,6 +27,11 @@ MEDIAN_HEURISTIC = "median-heuristic"
 GAMMA_FLOOR_DEG2 = 0.0025
 # kernel rows per block of the initial gradient
 _GRAD_ROWS = 64
+# the median heuristic gathers at most max(4 l, 4096) candidate pairs
+_WINDOW_PER_SAMPLE = 4
+_WINDOW_MIN = 4096
+# selection passes before every other pass bisects
+_FREE_PASSES = 8
 
 
 @dataclass(frozen=True)
@@ -73,22 +78,133 @@ def kernel(x, y, gamma: float):
 
 
 def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
-    """gamma = 1 / (2 * max(median pairwise squared distance, floor))."""
-    # the l(l-1)/2 squared distances of distinct pairs, filled diagonal by
-    # diagonal; (x_b - x_a)^2 has the bits of (x_a - x_b)^2, so any order of
-    # the samples gives the same multiset and the same median.  On sorted
-    # samples the median's selection runs about twice as fast.
-    x = np.sort(np.asarray(samples, dtype=float))
-    l = len(x)
-    d2 = np.empty(l * (l - 1) // 2)
-    start = 0
-    for k in range(1, l):
-        diag = d2[start:start + l - k]
-        np.subtract(x[k:], x[:-k], out=diag)
-        np.square(diag, out=diag)
-        start += l - k
-    m = float(np.median(d2, overwrite_input=True))
+    """gamma = 1 / (2 * max(median pairwise squared distance, floor)).
+
+    The median is exact: it has the bits of ``np.median`` over all l(l-1)/2
+    squared distances, but is selected in O(l) memory.
+    """
+    x = np.asarray(samples, dtype=float)
+    if len(x) < 2:
+        raise ValueError("the median heuristic needs at least 2 samples")
+    if not np.isfinite(x).all():
+        raise ValueError(f"samples must be finite, got {float(x[~np.isfinite(x)][0])!r}")
+    # (x_b - x_a)^2 has the bits of (x_a - x_b)^2, so the sorted samples give
+    # the same squared distances.  Squaring is monotone on differences >= 0,
+    # so the middle squares are the squares of the middle differences, and
+    # np.median of them is the mean of the two (or the one) middle values.
+    # Samples near the float range can overflow a difference, a square or
+    # x + t to inf, which still orders and counts correctly.
+    with np.errstate(over="ignore"):
+        m = float(np.median(np.square(_middle_differences(np.sort(x)))))
     return 1.0 / (2.0 * max(m, floor_deg2))
+
+
+def _middle_differences(x: np.ndarray) -> list[float]:
+    """The middle order statistics of d_ij = fl(x_j - x_i), i < j, over the
+    sorted samples x: the one middle rank of an odd number of pairs, or the
+    two of an even number.
+
+    Row i of the pairs is non-decreasing in j, so the pairs with d_ij <= t
+    are a prefix of every row, and one ``searchsorted`` pass counts them.
+    Passes narrow a window of values, from the smallest to the largest
+    difference between two counts that bracket the middle ranks, by
+    Illinois-style interpolation on the count, starting from the median
+    difference of a subsample of about 64 samples.  After ``_FREE_PASSES``
+    passes every other one bisects the window's float64 bit patterns (63
+    bits for values >= 0), so no input takes more than 8 + 2 x 63 passes.
+    The search ends in one of three ways, none holding more than O(l)
+    values:
+    - at most max(4 l, 4096) pairs lie in the window: they are gathered and
+      partitioned;
+    - the window holds one value (tied, quantized or duplicated samples);
+    - a probe's count falls between the two middle ranks: they are the
+      largest difference within the probe and the smallest beyond it.
+    """
+    l = len(x)
+    n = l * (l - 1) // 2
+    ranks = [(n - 1) // 2] if n % 2 else [n // 2 - 1, n // 2]
+    xp = np.append(x, np.inf)  # xp[l] ends every row
+    starts = l * (l + 1) // 2  # sum over the rows of i + 1, an empty row's end
+    # each side of the window: pairs counted, row ends, and its end value
+    # (0.0 - -0.0 is -0.0, whose bit pattern is negative; + 0.0 makes it 0.0)
+    c_lo, e_lo, lo = 0, np.arange(1, l + 1), float(np.min(x[1:] - x[:-1])) + 0.0
+    c_hi, e_hi, hi = n, np.full(l, l), float(x[-1] - x[0])
+    # Illinois weights: the count's distance from the middle at each side
+    target = ranks[0] + 0.5
+    f_lo, f_hi = c_lo - target, c_hi - target
+    side = passes = 0
+    while c_hi - c_lo > max(_WINDOW_PER_SAMPLE * l, _WINDOW_MIN):
+        if lo == hi:
+            return [lo] * len(ranks)
+        if passes == 0:
+            s = x[:: l // 64]
+            d = np.abs(s[:, None] - s[None, :]).ravel()
+            # d holds each pair twice and len(s) zeros
+            k = len(s) + len(s) * (len(s) - 1) // 2
+            t = float(np.partition(d, k)[k])
+        else:
+            t = (f_hi * lo - f_lo * hi) / (f_hi - f_lo)
+        if (passes >= _FREE_PASSES and passes % 2) or not lo <= t < hi:
+            t = _bit_midpoint(lo, hi)
+        passes += 1
+        e, beyond, within = _row_ends(x, xp, t)
+        c = int(e.sum()) - starts
+        if c <= ranks[0]:
+            c_lo, e_lo, lo, f_lo = c, e, beyond, c - target
+            if side < 0:
+                f_hi /= 2.0
+            side = -1
+        elif c > ranks[-1]:
+            c_hi, e_hi, hi, f_hi = c, e, within, c - target
+            if side > 0:
+                f_lo /= 2.0
+            side = 1
+        else:
+            # c = ranks[0] + 1 = ranks[1]: the two middle ranks straddle t
+            return [within, beyond]
+    lens = e_hi - e_lo
+    first = np.cumsum(lens)
+    first -= lens
+    j = np.arange(c_hi - c_lo)
+    j += np.repeat(e_lo - first, lens)
+    window = x[j]
+    window -= np.repeat(x, lens)
+    window.partition([r - c_lo for r in ranks])
+    return [float(window[r - c_lo]) for r in ranks]
+
+
+def _row_ends(x: np.ndarray, xp: np.ndarray, t: float):
+    """For each row i, the end e_i of its pairs with fl(x_j - x_i) <= t
+    (i < j < e_i); and the smallest difference beyond t and the largest
+    within it (0 when no pair is within)."""
+    e = np.searchsorted(x, x + t, side="right")
+    beyond = xp[e] - x
+    within = x[e - 1] - x
+    # fl(x_i + t) can put a sample within an ulp of the boundary on the wrong
+    # side; such rows are settled by bisection on the rounded difference
+    bad = np.flatnonzero((beyond <= t) | (within > t))
+    if len(bad):
+        xi = x[bad]
+        short = beyond[bad] <= t
+        # the end is the first j in [a, b] with fl(x_j - x_i) > t
+        a = np.where(short, e[bad] + 1, bad + 1)
+        b = np.where(short, len(x), e[bad] - 1)
+        while (open_ := a < b).any():
+            mid = (a + b) >> 1
+            past = xp[mid] - xi > t
+            b = np.where(open_ & past, mid, b)
+            a = np.where(open_ & ~past, mid + 1, a)
+        e[bad] = a
+        beyond[bad] = xp[a] - xi
+        within[bad] = x[a - 1] - xi
+    return e, float(beyond.min()), float(within.max())
+
+
+def _bit_midpoint(lo: float, hi: float) -> float:
+    """The float halfway between lo and hi >= lo >= 0 in bit patterns, in
+    [lo, hi)."""
+    a, b = (int(np.float64(v).view(np.int64)) for v in (lo, hi))
+    return float(np.int64(a + (b - a) // 2).view(np.float64))
 
 
 @dataclass
@@ -153,47 +269,68 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     # the gradient with +inf / -inf outside those sets; every index lies in
     # at least one, so they hold the whole gradient between them.  Each
     # update adds delta * (K_i - K_j) to both (K is exactly symmetric, so
-    # rows stand in for columns) and re-files the two touched indices.  A
-    # kernel row is computed, with the kernel's operations, the first time
-    # it is needed, so no l x l array is ever held.
+    # rows stand in for columns) and re-files a touched index where its
+    # weight crossed a bound.  A kernel row is computed, with the kernel's
+    # operations, the first time it is needed, so no l x l array is ever
+    # held.
     g_up = np.where(alpha < c, grad, np.inf)
     g_low = np.where(alpha > 0.0, grad, -np.inf)
     step = np.empty(l)
     rows = [None] * l
     a = alpha.tolist()
     tol = params.solver_tol
+    argmin, argmax = g_up.argmin, g_low.argmax
+    subtract, multiply, add, exp = np.subtract, np.multiply, np.add, np.exp
 
     # max_iters >= 1, so the loop sets the violation before it ends
     iterations = 0
     while iterations < params.max_iters:
-        i = int(g_up.argmin())
+        i = int(argmin())
         g_i = g_up.item(i)
         if g_i == np.inf:
             # nu = 1: every weight sits at the box bound, nothing to optimize
             violation = 0.0
             break
-        j = int(g_low.argmax())
+        j = int(argmax())
         violation = g_low.item(j) - g_i
         if violation < tol:
             break
-        for k in (i, j):
-            if rows[k] is None:
-                d = x.item(k) - x
-                rows[k] = np.exp(-gamma * d * d)
         k_i = rows[i]
+        if k_i is None:
+            d = x.item(i) - x
+            k_i = rows[i] = exp(-gamma * d * d)
+        k_j = rows[j]
+        if k_j is None:
+            d = x.item(j) - x
+            k_j = rows[j] = exp(-gamma * d * d)
         # K_ii = K_jj = exp(-0.0) = 1 exactly on finite samples
         quad = 2.0 - 2.0 * k_i.item(j)
-        delta = violation / max(quad, 1e-12)
-        delta = min(delta, c - a[i], a[j])
-        a[i] += delta
-        a[j] -= delta
-        np.subtract(k_i, rows[j], out=step)
-        step *= delta
-        g_up += step
-        g_low += step
-        for k, g_k in ((i, g_up.item(i)), (j, g_low.item(j))):
-            g_up[k] = g_k if a[k] < c else np.inf
-            g_low[k] = g_k if a[k] > 0.0 else -np.inf
+        a_i, a_j = a[i], a[j]
+        # min(violation / max(quad, 1e-12), c - a_i, a_j), without the calls
+        delta = violation / (quad if quad > 1e-12 else 1e-12)
+        if delta > c - a_i:
+            delta = c - a_i
+        if delta > a_j:
+            delta = a_j
+        a[i] = a_i + delta
+        a[j] = a_j - delta
+        subtract(k_i, k_j, out=step)
+        multiply(step, delta, out=step)
+        add(g_up, step, out=g_up)
+        add(g_low, step, out=g_low)
+        # re-file i and j only where a weight crossed a bound: an index in
+        # both sets holds the same bits in g_up and g_low, and the inf of an
+        # index outside a set stays inf.  i was in the up set and j in the
+        # low set; fl(c - delta) can be c, so j's new weight decides whether
+        # it re-enters the up set.
+        if a_i == 0.0 < a[i]:
+            g_low[i] = g_up[i]
+        if a[i] >= c:
+            g_up[i] = np.inf
+        if a_j >= c > a[j]:
+            g_up[j] = g_low[j]
+        if a[j] == 0.0:
+            g_low[j] = -np.inf
         iterations += 1
     else:
         raise OcsvmConvergenceError(float(violation), params.max_iters)

@@ -182,6 +182,12 @@ def received_signal(
     amp = np.sqrt(config.tx_power_watts) * channel_amplitude(
         geometry.distance_m, config.carrier_freq_hz
     )
+    # an infinite amplitude times an exact-zero beam gain would be a NaN
+    if not math.isfinite(amp):
+        raise ValueError(
+            f"received amplitude {float(amp)!r} is not finite (distance_m="
+            f"{geometry.distance_m!r}, carrier_freq_hz={config.carrier_freq_hz!r})"
+        )
     return amp * schedule.beam_gains(geometry.aoa_deg) * pilots.symbols
 
 

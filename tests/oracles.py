@@ -29,6 +29,14 @@ def naive_cost(y, z):
     return sum(abs(u - h * v) ** 2 for u, v in zip(y, z))
 
 
+def reference_median_gamma(x, floor_deg2):
+    """The median heuristic's gamma from the dense l x l formulation: the
+    median of all l(l-1)/2 squared distances above the diagonal."""
+    d2 = (x[:, None] - x[None, :]) ** 2
+    m = float(np.median(d2[np.triu_indices(len(x), k=1)]))
+    return 1.0 / (2.0 * max(m, floor_deg2))
+
+
 def project_capped_simplex(v, cap):
     """Euclidean projection onto {0 <= a_i <= cap, sum a_i = 1}.
 

@@ -263,15 +263,15 @@ class TestRefusedFrames:
         assert not list(out.glob("*.csv"))
 
     def test_nan_frames_fail_alike_in_every_command(self, tmp_path):
-        # the wavelength at 1e-300 Hz overflows, so every frame holds a NaN
-        # (synthesis warns about it first)
+        # the wavelength at 1e-300 Hz overflows, so the received amplitude is
+        # infinite; it is refused before it can make a NaN frame
         cfg = write_config(tmp_path, carrier_freq_hz=1e-300)
         assert main(["validate-config", "--config", cfg]) == EXIT_OK
         out = tmp_path / "out"
         for argv in (["estimate", "--theta", "10"], ["cost-curve", "--out", str(out)]):
             run = run_fresh("-m", "aoa_auth.cli", *argv, "--config", cfg)
             assert run.returncode == EXIT_RUNTIME, run.stderr
-            assert "runtime error (ValueError): frame 0 is not finite or too large" in run.stderr
+            assert "runtime error (ValueError): received amplitude inf is not finite" in run.stderr
         assert not list(out.glob("*.csv"))
 
 

@@ -1,7 +1,9 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoa_auth import OcsvmParams, train
 from aoa_auth.ocsvm import (
@@ -13,6 +15,20 @@ from aoa_auth.ocsvm import (
 )
 
 from oracles import dual_objective, projected_gradient_ocsvm
+from oracles import reference_median_gamma as _reference_median_gamma
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak in bytes, after one untraced call:
+    a first call can import numpy modules lazily (np.median imports numpy.ma,
+    about 1.1 MiB), which tracemalloc would count."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestKernel:
@@ -83,12 +99,94 @@ class TestMedianHeuristic:
         g2 = median_heuristic_gamma(3.0 * x, 0.0)
         assert g2 == pytest.approx(g1 / 9.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        l=st.integers(2, 400),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1e-3, 0.04, 1.0, 1e3]),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+        repeats=st.sampled_from([1, 2, 10]),
+        offset=st.sampled_from([0.0, 300.0]),
+        floor=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_matches_all_pairs_median_bitwise(self, l, seed, scale, decimals, repeats, offset, floor):
+        # rounding gives heavy ties and repeats exact duplicates, so every
+        # way the selection can end is drawn
+        x = np.random.default_rng(seed).normal(0.0, 1.0, -(-l // repeats))
+        if decimals is not None:
+            x = np.round(x, decimals)
+        x = np.repeat(x, repeats)[:l] * scale + offset
+        try:
+            expected = _reference_median_gamma(x, floor)
+        except ZeroDivisionError:
+            # every difference is 0 and there is no floor
+            with pytest.raises(ZeroDivisionError):
+                median_heuristic_gamma(x, floor)
+        else:
+            assert median_heuristic_gamma(x, floor) == expected
 
-def _reference_median_gamma(x, floor_deg2):
-    """The dense l x l formulation of the median heuristic."""
-    d2 = (x[:, None] - x[None, :]) ** 2
-    m = float(np.median(d2[np.triu_indices(len(x), k=1)]))
-    return 1.0 / (2.0 * max(m, floor_deg2))
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([0.3, 0.1, 0.2]),
+            np.array([1.0, 1.0, 2.0]),
+            # 90 and 91 samples (odd pair counts) fit in one gathered window;
+            # 92 and 93 (even counts) and 94 and 95 (odd) need the search
+            *(np.random.default_rng(20).normal(0.0, 0.04, l) for l in (90, 91, 92, 93, 94, 95)),
+            np.random.default_rng(21).normal(0.0, 0.04, 1000),
+            np.random.default_rng(22).standard_cauchy(1000),
+            np.full(200, -7.5),
+            # half the pairs at 0 and half at 1: the middle ranks straddle
+            # every threshold in [0, 1)
+            np.repeat([0.0, 1.0], [465, 435]),
+            np.repeat([0.0, 0.1], [465, 435]),
+            # 1.0 + k ulp: settled rows where fl(x_i + t) rounds
+            1.0 + np.arange(500) * np.finfo(float).eps,
+            # differences that overflow to inf
+            np.array([-1e308, 1e308, 0.0, 5.0]),
+            # -0.0 - 0.0 is -0.0, the smallest difference
+            np.concatenate([[-1.0, 0.0, -0.0], np.linspace(1.0, 2.0, 97)]),
+        ],
+        ids=["l3", "l3-tie", "l90", "l91", "l92", "l93", "l94", "l95", "l1000",
+             "cauchy", "equal", "straddle", "straddle-0.1", "ulps", "overflow", "signed-zeros"],
+    )
+    def test_fixed_cases_match_all_pairs_median(self, x):
+        with np.errstate(over="ignore"):
+            expected = _reference_median_gamma(x, 1e-12)
+        assert median_heuristic_gamma(x, 1e-12) == expected
+
+    def test_straddling_middle_ranks_average_their_squares(self):
+        # 465 * 464 / 2 + 435 * 434 / 2 = 465 * 435: the lower middle
+        # difference is 0 and the upper one 1
+        x = np.repeat([0.0, 1.0], [465, 435])
+        assert median_heuristic_gamma(x, 0.0) == 1.0 / (2.0 * 0.5)
+
+    @pytest.mark.parametrize("bad, x", [
+        ("nan", [0.0, float("nan"), 1.0]),
+        ("inf", [0.0, float("inf"), 1.0]),
+        ("-inf", [0.0, float("-inf"), float("nan")]),
+    ])
+    def test_rejects_non_finite_samples(self, bad, x):
+        # nan gave gamma nan and inf gave 0.0, without a warning
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            median_heuristic_gamma(np.array(x), 1e-6)
+
+    @pytest.mark.parametrize("x", [np.array([]), np.array([1.0])])
+    def test_rejects_fewer_than_two_samples(self, x):
+        with pytest.raises(ValueError, match="at least 2"):
+            median_heuristic_gamma(x, 1e-6)
+
+    @pytest.mark.parametrize("decimals", [None, 1], ids=["normal", "rounded-0.1"])
+    def test_holds_o_l_memory_at_the_train_size_cap(self, decimals):
+        # all l(l-1)/2 squared distances at l = 16,384 are 1 GiB
+        x = np.random.default_rng(23).normal(0.0, 1.0, 16_384)
+        if decimals is not None:
+            x = np.round(x, decimals)
+        start = time.perf_counter()
+        gamma, peak = _traced_peak(median_heuristic_gamma, x, 1e-6)
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2 * 2**20
+        assert 0.0 < gamma < np.inf
 
 
 def _reference_train(x, params):
@@ -369,6 +467,12 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * 8 * l**2
+
+    def test_fit_peak_stays_under_2_5_mib(self):
+        # all l(l-1)/2 squared distances alone are 3.8 MiB at l = 1000
+        x = np.random.default_rng(19).normal(0.0, 0.04, 1000)
+        _, peak = _traced_peak(train, x, OcsvmParams(nu=0.1))
+        assert peak < 2.5 * 2**20
 
     def test_gamma_string_must_be_known(self):
         with pytest.raises(ValueError):

@@ -281,3 +281,10 @@ class TestSynthesizeObservation:
             received_signal(
                 self.sched, NodeGeometry(10.0, 0.0), PilotSequence.constant(5), self.cfg
             )
+
+    def test_refuses_infinite_amplitude(self):
+        # the wavelength at 1e-300 Hz overflows; an infinite amplitude times
+        # an exact-zero beam gain would make a NaN sample
+        cfg = ArrayConfig(carrier_freq_hz=1e-300)
+        with pytest.raises(ValueError, match="received amplitude inf is not finite"):
+            received_signal(self.sched, NodeGeometry(10.0, 0.0), self.pilots, cfg)
