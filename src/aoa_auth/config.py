@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .attacks import AttackKind
-from .estimator import check_grid_step
+from .estimator import check_grid_memory, check_grid_step
 from .ocsvm import MEDIAN_HEURISTIC, OcsvmParams
 from .signal_model import ArrayConfig, NodeGeometry, PilotSequence, ProbeSchedule
 
@@ -128,6 +128,7 @@ class Scenario:
             self.array_config()
             self.ocsvm_params()
             check_grid_step(self.grid_step_deg)
+            check_grid_memory(self.num_antennas, self.num_probes, self.grid_step_deg)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         self.alice_geometry()

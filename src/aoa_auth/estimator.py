@@ -15,6 +15,8 @@ frame's own bound cannot rule out.  With zh = z / ||z||, every column of a
 cell is the chord between its nodes' zh plus a residual e (a column one past
 a node: that node's zh plus a step e), so |zh^H y| <= max over the nodes of
 |zh^H y| + max ||e|| * ||y||, where max ||e|| is read off the grid itself.
+The bound only filters, so it runs in float32 on yh = y / ||y|| with a margin
+for rounding; a frame whose ||y||^2 is 0 or subnormal keeps every cell.
 """
 
 from __future__ import annotations
@@ -29,6 +31,12 @@ from .signal_model import PilotSequence, ProbeSchedule
 DEFAULT_GRID_STEP_DEG = 0.05
 # the finest grid: 180,001 angles, about 50 MB of responses
 MIN_GRID_STEP_DEG = 0.001
+# The largest grid: its (g x N) steering matrix and (g x T) responses, at 16
+# bytes an entry.  The finest step takes 95 MB of them at the default 16
+# antennas and 17 probes, 369 MB at 64 and 64.  A build's peak is about 1.7
+# times its entries (tracemalloc: 163 MB at the finest default grid), so it
+# stays under 1 GB; 100,000 antennas at the default step would take 5.8 GB.
+_MAX_GRID_BYTES = 1 << 29
 # Scratch bytes of estimate_batch: a sixteenth for a block's keep table and
 # gathered rows (526 rows at 0.05 deg), the rest at 32 bytes a kept entry,
 # in whole grid rows (33 at 0.05 deg), for a part's products and costs (24)
@@ -41,10 +49,6 @@ _BLOCK_BYTES = 4 << 20
 # be scored apart from the rest of the grid; tests/test_estimator.py checks it.
 # The search reads a slot's flags as whole 8-byte words, so it is a multiple of 8.
 _CELL_COLUMNS = 16
-# a cell is pruned when its bound lies this far (relative to ||y||^2) below
-# the best node, which covers the rounding of the coarse pass and ties in
-# ||y||^2 - |z^H y|^2 / ||z||^2
-_PRUNE_MARGIN = 1e-12
 # A block scores the union of its rows' kept cells in every row when that is
 # at most this many times the pairs they keep, so that its products are one
 # (rows x kept columns) matrix scored like costs_batch's, with no reordering
@@ -99,6 +103,18 @@ def check_grid_step(grid_step_deg: float) -> None:
         )
 
 
+def check_grid_memory(num_antennas: int, num_probes: int, grid_step_deg: float) -> None:
+    """Raise ValueError unless the steering matrix and responses of a grid,
+    g (N + T) complex entries, fit in _MAX_GRID_BYTES."""
+    g = int(round(180.0 / grid_step_deg)) + 1
+    size = 16 * g * (num_antennas + num_probes)
+    if size > _MAX_GRID_BYTES:
+        raise ValueError(
+            f"num_antennas {num_antennas!r} and num_probes {num_probes!r} at grid_step_deg {grid_step_deg!r} "
+            f"need a {g} x ({num_antennas} + {num_probes}) grid of {size >> 20} MiB, above {_MAX_GRID_BYTES >> 20} MiB"
+        )
+
+
 def _score(costs, norms2, orthogonal, total):
     """The costs ||y||^2 - |z^H y|^2 / ||z||^2, in place over the |z^H y|
     values ``costs`` (rows x columns): ``norms2`` holds the columns' ||z||^2
@@ -125,14 +141,11 @@ class ResponseGrid:
         self.schedule = schedule
         self.symbols = pilots.symbols
         check_grid_step(grid_step_deg)
+        check_grid_memory(schedule.num_antennas, schedule.num_probes, grid_step_deg)
         self.angles_deg = np.linspace(-90.0, 90.0, int(round(180.0 / grid_step_deg)) + 1)
         n = schedule.num_antennas
         # (grid x N) steering matrix, rows a(theta_j)
-        steer = np.exp(
-            1j
-            * np.pi
-            * np.outer(np.sin(np.deg2rad(self.angles_deg)), np.arange(1, n + 1))
-        )
+        steer = np.exp(1j * np.pi * np.outer(np.sin(np.deg2rad(self.angles_deg)), np.arange(1, n + 1)))
         # rows z(theta_j) = (w_t^H a(theta_j)) s_t
         responses = (steer @ schedule.combiners.conj().T) * self.symbols[None, :]
         norms2 = np.sum(np.abs(responses) ** 2, axis=1)
@@ -145,29 +158,37 @@ class ResponseGrid:
         # each side, so a scored argmin always has its neighbours scored.
         g = len(self.angles_deg)
         nodes = np.minimum(np.arange(0, g + _CELL_COLUMNS - 1, _CELL_COLUMNS), g - 1)
-        self._nodes_h = np.ascontiguousarray(self._responses_h[:, nodes])
         # 1 / ||z||, 0 where ||z|| = 0, so that zh = z / ||z|| is 0 there
         inv_norms = np.divide(1.0, np.sqrt(norms2), out=np.zeros(g), where=norms2 > 0.0)
-        self._inv_node_norms = inv_norms[nodes]
+        zh = responses[nodes] * inv_norms[nodes, None]
+        self._nodes_h = np.ascontiguousarray(zh.conj().T, dtype=np.complex64)
         # Column j of cell [a, b] is the chord ((b - j) zh_a + (j - a) zh_b) /
         # (b - a) plus a residual, and column a - 1 (b + 1) is zh_a (zh_b) plus
         # a step; the cell's reach is the largest residual or step norm, so
         # that |zh_j^H y| <= max(|zh_a^H y|, |zh_b^H y|) + reach * ||y||.  It is
         # built one column offset at a time, with room for rounding.
         a, b = nodes[:-1], nodes[1:]
-        za, zb = (responses[c] * inv_norms[c, None] for c in (a, b))
         reach = np.zeros(len(a))
         for k in range(-1, _CELL_COLUMNS + 1):
             cols = np.clip(np.minimum(a + k, b + 1), 0, g - 1)
             t = np.clip(k / (b - a), 0.0, 1.0)[:, None]
-            residual = responses[cols] * inv_norms[cols, None] - (1.0 - t) * za - t * zb
+            residual = responses[cols] * inv_norms[cols, None] - (1.0 - t) * zh[:-1] - t * zh[1:]
             np.maximum(reach, np.linalg.norm(residual, axis=1), out=reach)
-        self._cell_reach = reach * (1.0 + 1e-9)
-        # The largest ||y||^2 a frame may have: |z^H y|^2 is at most
-        # ||z||^2 ||y||^2 and a cell's squared bound (1 + reach)^2 ||y||^2,
-        # so twice the larger gain leaves both finite, with room for rounding.
-        gain = max(np.max(norms2), (1.0 + np.max(self._cell_reach)) ** 2)
-        self._max_energy = np.finfo(float).max / (2.0 * gain)
+        # eta bounds the error of a float32 amplitude |zh^H yh| of _bounds
+        # (u = 2^-24) against the exact |zh^H y| / ||y||: its real and
+        # imaginary parts are 2T-term real inner products of vectors of norm
+        # <= 1, each off by at most gamma_2T = 2Tu / (1 - 2Tu) in any order
+        # (Higham, 2002, sec. 3.1), and 8u covers the casts to complex64 (2u),
+        # abs (2u), float64 rounding and underflow (far below u) and, as 2 eta
+        # enters a bound, its float32 add (2u) and float64 ties in ||y||^2 - q:
+        # where a cell can be dropped the best amplitude exceeds eta, so costs
+        # that tie differ in amplitude by under 10 T 2^-53 / eta < u.
+        tu = 2 * schedule.num_probes * 2.0**-24  # below 0.22 by the grid memory rule
+        eta = np.sqrt(2.0) * tu / (1.0 - tu) + 8 * 2.0**-24
+        self._cell_reach = np.nextafter(np.float32(reach * (1.0 + 1e-9) + 2.0 * eta), np.float32(np.inf))
+        # The largest ||y||^2 a frame may have: |z^H y|^2 <= ||z||^2 ||y||^2, so
+        # twice the largest gain (at least 1) leaves every cost finite.
+        self._max_energy = np.finfo(float).max / (2.0 * max(np.max(norms2), 1.0))
         # Slots: the grid padded to whole _CELL_COLUMNS-wide slots, slot k
         # holding columns k * _CELL_COLUMNS onwards; slot k belongs to cell k,
         # and any slot past the last cell to the last cell, which spans 17
@@ -205,26 +226,22 @@ class ResponseGrid:
         costs = np.abs(ys @ self._responses_h)
         return _score(costs, self._slot_norms2.ravel()[:g], self._slot_orthogonal.ravel()[:g], total)
 
-    def _bounds(self, ys, total, prod, buf):
-        """Per-row bounds on |z^H y|^2 / ||z||^2 over each cell's stretched
-        columns (rows x cells) and each row's best node less the pruning
-        margin, for rows of energy ``total``.  Works in the flat scratch
-        ``prod`` (rows x nodes complex entries) and ``buf`` (rows x (nodes +
-        cells) floats); the bounds are a view of ``buf``."""
-        rows, m = len(ys), len(self._inv_node_norms)
-        nodes = prod[: rows * m].reshape(rows, m)
-        amp = buf[: rows * m].reshape(rows, m)
-        bound = buf[rows * m : rows * (2 * m - 1)].reshape(rows, m - 1)
-        np.abs(np.matmul(ys, self._nodes_h, out=nodes), out=amp)
-        amp *= self._inv_node_norms
-        best = np.max(amp, axis=1) ** 2 - _PRUNE_MARGIN * total
-        # the node products are spent: their memory holds reach * ||y||
-        spare = prod.view(np.float64)[: rows * (m - 1)].reshape(rows, m - 1)
-        reach = np.multiply(np.sqrt(total)[:, None], self._cell_reach, out=spare)
+    def _bounds(self, ys, total, prod, buf, unit):
+        """Per-row float32 bounds on |zh^H y| / ||y|| over each cell's
+        stretched columns, 2 eta included (rows x cells), and each row's best
+        node.  Rows are scaled to unit norm, or to 0 when ``total`` is 0 or
+        subnormal, in the complex64 scratch ``unit``; the rest lies in float32
+        views of the flat scratch ``prod`` and ``buf``, the bounds in ``buf``."""
+        rows, m = len(ys), self._nodes_h.shape[1]
+        scale = np.divide(1.0, np.sqrt(total), out=np.zeros(rows), where=total >= np.finfo(float).tiny)
+        yh = np.multiply(ys, scale[:, None], out=unit[:rows], casting="same_kind")
+        nodes = prod.view(np.complex64)[: rows * m].reshape(rows, m)
+        amp = buf.view(np.float32)[: rows * m].reshape(rows, m)
+        bound = buf.view(np.float32)[rows * m : rows * (2 * m - 1)].reshape(rows, m - 1)
+        np.abs(np.matmul(yh, self._nodes_h, out=nodes), out=amp)
         np.maximum(amp[:, :-1], amp[:, 1:], out=bound)
-        bound += reach
-        bound *= bound
-        return bound, best
+        bound += self._cell_reach
+        return bound, np.max(amp, axis=1)
 
     def _search(self, ys, keep, total, prod, buf, picked):
         """Refined angles of the rows of ``ys``, of energy ``total``, scoring
@@ -343,7 +360,7 @@ class ResponseGrid:
         slots, w = self._slot_norms2.shape
         block = max(2, _BLOCK_BYTES // 16 // (slots + ys.itemsize * ys.shape[1]))
         budget = max(2, (_BLOCK_BYTES - _BLOCK_BYTES // 16) // (32 * slots * w)) * slots * w
-        step = max(2, min(block, budget // (2 * len(self._inv_node_norms) - 1)))
+        step = max(2, min(block, budget // (2 * self._nodes_h.shape[1] - 1)))
         return budget, block, step
 
     def estimate_batch(self, ys: np.ndarray) -> np.ndarray:
@@ -367,13 +384,14 @@ class ResponseGrid:
         buf = np.empty(budget + slots * w)
         keep = np.empty((min(n, block), slots), dtype=bool)
         picked = np.empty((max(2, len(keep)), ys.shape[1]), dtype=ys.dtype)
+        unit = np.empty((min(n, step), ys.shape[1]), dtype=np.complex64)
         out = np.empty(n)
         for lo in range(0, n, block):
             rows = min(n - lo, block)
             kept = keep[:rows]
             for a in range(0, rows, step):
                 b = min(rows, a + step)
-                bound, best = self._bounds(ys[lo + a : lo + b], total[lo + a : lo + b], prod, buf)
+                bound, best = self._bounds(ys[lo + a : lo + b], total[lo + a : lo + b], prod, buf, unit)
                 np.greater_equal(bound, best[:, None], out=kept[a:b, :cells])
             # slots past the last cell follow it
             kept[:, cells:] = kept[:, cells - 1 : cells]

@@ -81,8 +81,12 @@ def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
     """gamma = 1 / (2 * max(median pairwise squared distance, floor)).
 
     The median is exact: it has the bits of ``np.median`` over all l(l-1)/2
-    squared distances, but is selected in O(l) memory.
+    squared distances, but is selected in O(l) memory.  A ValueError names a
+    floor that is not finite and >= 0, and a median and floor that leave
+    gamma infinite (both 0, or their larger below about 2.8e-309).
     """
+    if not 0.0 <= floor_deg2 < math.inf:
+        raise ValueError(f"floor_deg2 must be finite and >= 0, got {floor_deg2!r}")
     x = np.asarray(samples, dtype=float)
     if len(x) < 2:
         raise ValueError("the median heuristic needs at least 2 samples")
@@ -96,7 +100,11 @@ def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
     # x + t to inf, which still orders and counts correctly.
     with np.errstate(over="ignore"):
         m = float(np.median(np.square(_middle_differences(np.sort(x)))))
-    return 1.0 / (2.0 * max(m, floor_deg2))
+    spread = max(m, floor_deg2)
+    gamma = 1.0 / (2.0 * spread) if spread > 0.0 else math.inf
+    if gamma == math.inf:
+        raise ValueError(f"the median squared distance {m!r} and floor_deg2 {floor_deg2!r} leave gamma infinite")
+    return gamma
 
 
 def _middle_differences(x: np.ndarray) -> list[float]:

@@ -77,3 +77,23 @@ def projected_gradient_ocsvm(k_matrix, cap, iters=20_000, tol=1e-12):
                 break
             prev_obj = obj
     return alpha
+
+
+def deterministic_crb_deg(combiners, symbols, amplitude, noise_var, theta_deg):
+    """Square root of the deterministic Cramér-Rao bound, in degrees, on an
+    unbiased estimate of one source's angle whose complex gain h is unknown
+    (Stoica & Nehorai, IEEE TASSP 37(5), 1989), for frames h z(theta) + n
+    with circular noise of variance ``noise_var`` per sample and
+    |h| = ``amplitude``: with d = dz/dtheta, the angle's Fisher information
+    with h concentrated out is 2 |h|^2 (||d||^2 - |z^H d|^2 / ||z||^2) / sigma^2."""
+    th = math.radians(theta_deg)
+    z, d = [], []
+    for w, symbol in zip(combiners, symbols):
+        terms = [(n, wn.conjugate() * cmath.exp(1j * math.pi * n * math.sin(th))) for n, wn in enumerate(w, 1)]
+        z.append(symbol * sum(t for _, t in terms))
+        d.append(symbol * sum(1j * math.pi * n * math.cos(th) * t for n, t in terms))
+    zz = sum(abs(v) ** 2 for v in z)
+    zd = sum(v.conjugate() * u for v, u in zip(z, d))
+    dd = sum(abs(u) ** 2 for u in d)
+    fisher = 2.0 * amplitude**2 * (dd - abs(zd) ** 2 / zz) / noise_var
+    return math.degrees(1.0 / math.sqrt(fisher))

@@ -108,6 +108,20 @@ def test_validate_config_names_the_bad_field(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [{"num_antennas": 100_000}, {"num_probes": 10**9}, {"num_antennas": 1000, "grid_step_deg": 0.001}],
+)
+def test_grids_too_large_to_build_are_config_errors(tmp_path, capsys, data):
+    # the estimator's grid-memory rule, checked before anything is built:
+    # 100,000 antennas at 0.05 deg would need a 5.8 GB steering matrix
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("num_antennas", "num_probes", "grid_step_deg")), err
+
+
 def test_defaults_are_the_reference_operating_point():
     # Scenario writes out the defaults of ArrayConfig, OcsvmParams and the
     # estimator's grid step again; any drift between them fails here

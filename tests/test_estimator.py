@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aoa_auth import (
     ArrayConfig,
@@ -12,6 +13,7 @@ from aoa_auth import (
     PilotSequence,
     ProbeSchedule,
     ResponseGrid,
+    channel_amplitude,
     code_based_attack,
     gain_hat,
     location_based_attack,
@@ -20,8 +22,8 @@ from aoa_auth import (
     synthesize_observation,
 )
 
-from aoa_auth.estimator import _CELL_COLUMNS, MIN_GRID_STEP_DEG, check_grid_step
-from oracles import naive_cost
+from aoa_auth.estimator import _CELL_COLUMNS, MIN_GRID_STEP_DEG, check_grid_memory, check_grid_step
+from oracles import deterministic_crb_deg, naive_cost
 
 
 @pytest.fixture(scope="module")
@@ -188,8 +190,19 @@ class TestCostCurve:
 
     @pytest.mark.parametrize("step", [MIN_GRID_STEP_DEG, 0.005, 10.0])
     def test_accepts_grid_step_bounds(self, step):
-        # the rule alone: a 0.001 deg grid would hold 180,001 responses
+        # the rules alone: a 0.001 deg grid would hold 180,001 responses
         check_grid_step(step)
+        check_grid_memory(16, 17, step)
+        check_grid_memory(64, 64, step)
+
+    def test_rejects_grids_too_large_to_build(self, setup):
+        # 180,001 x (5,000 + 17) entries would take 14 GB; the grid refuses
+        # them before it allocates
+        sched = ProbeSchedule.uniform(17, 5000)
+        with pytest.raises(ValueError, match=r"num_antennas 5000 and num_probes 17 at grid_step_deg 0.001"):
+            ResponseGrid(sched, setup[1], MIN_GRID_STEP_DEG)
+        with pytest.raises(ValueError, match="num_probes"):
+            check_grid_memory(16, 10**9, 10.0)
 
 
 class TestEstimateAoa:
@@ -501,6 +514,10 @@ class TestPrunedSearchExact:
     # it still returns the dense search's angles bit for bit
 
     @pytest.fixture(scope="class")
+    def grid(self, setup):
+        return ResponseGrid(*setup[:2])
+
+    @pytest.fixture(scope="class")
     def frames(self, setup):
         ys = _mixed_frames(setup, seed=91)
         assert len(ys) >= 20_000
@@ -581,6 +598,40 @@ class TestPrunedSearchExact:
         assert kept(synthesize_observation(0.0 * signal, noise_variance(cfg), 48, rng)).mean() < 0.04
         assert np.all(kept(np.zeros((48, 17), dtype=complex)) == 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 120),
+        seed=st.integers(0, 2**32 - 1),
+        exponents=st.lists(st.integers(-170, 153), min_size=1, max_size=4),
+    )
+    def test_matches_dense_search_at_any_scale(self, grid, n, seed, exponents):
+        # _frames' noisy signal and noise-only frames, two-tone and all-zero
+        # frames, of norm at most 1, each scaled by one of a few powers of
+        # ten, so that blocks share scales and prune; below about 1e-154 a
+        # frame's ||y||^2 is subnormal or 0 and it keeps every cell, near
+        # 1e153 it nears the energy limit
+        rng = np.random.default_rng(seed)
+        kinds = rng.integers(0, 4, n)
+        ys = _frames(grid, n, seed)
+        ys[kinds == 2] = _two_tone_frames(grid, rng.uniform(-1.0, 1.0, np.sum(kinds == 2)))
+        ys[kinds == 3] = 0.0
+        norms = np.linalg.norm(ys, axis=1)
+        ys /= np.where(norms > 0.0, norms / rng.uniform(0.5, 1.0, n), 1.0)[:, None]
+        ys *= 10.0 ** rng.choice(exponents, n)[:, None]
+        assert np.array_equal(grid.estimate_batch(ys), _dense_estimates(grid, ys))
+
+    def test_frames_of_subnormal_energy_keep_every_cell(self, grid):
+        # a signal frame at 1e-158 has ||y||^2 about 7e-315, subnormal: its
+        # float64 costs cannot resolve its maximum, so it keeps every cell,
+        # as an all-zero frame does; at 1e-150 the same frame prunes
+        ys = np.array([_responses(grid)[2100], np.zeros(17)])
+        for scale, pruned in ((1e-158, False), (1e-150, True)):
+            total = np.sum(np.abs(scale * ys) ** 2, axis=1)
+            assert (0.0 < total[0] < np.finfo(float).tiny) != pruned
+            bound, best = _bounds(grid, scale * ys)
+            assert np.all(bound >= best[:, None], axis=1).tolist() == [not pruned, True]
+            assert np.array_equal(grid.estimate_batch(scale * ys), _dense_estimates(grid, scale * ys))
+
     @pytest.mark.parametrize("center", [1791, 1792, 1793])
     def test_matches_dense_search_beside_a_norm_dip(self, center):
         # A 2-antenna grid whose ||z||^2 dips to 4e-6 at 0 deg, the grid
@@ -604,11 +655,12 @@ def _nodes(g):
 
 
 def _bounds(grid, ys):
-    # the per-row cell bounds and best nodes of the coarse pass, for rows of
-    # energy ||y||^2, in scratch of its own
+    # the per-row float32 cell bounds and best nodes of the coarse pass,
+    # relative to ||y||, for rows of energy ||y||^2, in scratch of its own
     g = len(grid.angles_deg)
     total = np.sum(np.abs(ys) ** 2, axis=1)
-    return grid._bounds(ys, total, np.empty(len(ys) * g, dtype=complex), np.empty(len(ys) * g))
+    scratch = np.empty(len(ys) * g, dtype=complex), np.empty(len(ys) * g), np.empty(ys.shape, dtype=np.complex64)
+    return grid._bounds(ys, total, *scratch)
 
 
 def _two_tone_frames(grid, u_peaks):
@@ -642,20 +694,24 @@ def _worst_residual_frames(grid):
 
 
 class TestCellBoundSoundness:
-    # the theory the pruning rests on, checked against the dense costs: for
-    # every cell, |z^H y|^2 / ||z||^2 at each column from one before its
-    # first node to one past its second is at most the cell's bound
+    # the theory the pruning rests on, checked against float64 amplitudes:
+    # for every cell, |zh^H y| / ||y|| at each column from one before its
+    # first node to one past its second, plus whatever the row's float32
+    # best node overstates the float64 one by, is at most the cell's float32
+    # bound, so a cell whose bound lies below the best node cannot hold the
+    # row's largest amplitude
 
     @staticmethod
     def check(grid, ys):
-        bound, _ = _bounds(grid, ys)
+        bound, best = _bounds(grid, ys)
         norms2 = _norms2(grid)
-        proj = np.abs(ys @ grid._responses_h) ** 2 / np.where(norms2 > 0.0, norms2, 1.0)
-        proj[:, norms2 == 0.0] = 0.0
+        amp = np.abs(ys @ grid._responses_h) / np.where(norms2 > 0.0, np.sqrt(norms2), np.inf)
+        amp /= np.linalg.norm(ys, axis=1)[:, None]
         nodes = _nodes(len(grid.angles_deg))
+        excess = np.maximum(best - amp[:, nodes].max(axis=1), 0.0)
         for c, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
-            worst = proj[:, max(a - 1, 0) : b + 2].max(axis=1)
-            assert np.all(worst <= bound[:, c] * (1.0 + 1e-12)), (c, np.max(worst / bound[:, c]))
+            worst = amp[:, max(a - 1, 0) : b + 2].max(axis=1) + excess
+            assert np.all(worst <= bound[:, c]), (c, np.max(worst - bound[:, c]))
 
     @pytest.mark.parametrize("step", [0.05, 1.0])
     def test_schedule_grid(self, setup, step):
@@ -716,3 +772,22 @@ def test_estimate_batch_scratch_stays_within_budget(setup, step):
         finally:
             tracemalloc.stop()
         assert peak <= 4.5 * 2**20, peak
+
+
+class TestCramerRaoBound:
+    # an analytic oracle: the spread of 4,000 Alice frames' estimates at
+    # broadside lies within 5% of the deterministic CRB with the gain
+    # unknown (the RMSE's own sampling error is about 1.1%)
+    @pytest.fixture(scope="class")
+    def grid(self, setup):
+        return ResponseGrid(*setup[:2])
+
+    @pytest.mark.parametrize("dist", [10.0, 100.0, 300.0])
+    def test_rmse_at_broadside_meets_the_bound(self, setup, grid, dist):
+        sched, pilots, cfg = setup
+        rng = np.random.default_rng(int(dist))
+        signal = received_signal(sched, NodeGeometry(dist, 0.0), pilots, cfg)
+        thetas = grid.estimate_batch(synthesize_observation(signal, noise_variance(cfg), 4000, rng))
+        amplitude = np.sqrt(cfg.tx_power_watts) * channel_amplitude(dist, cfg.carrier_freq_hz)
+        crb = deterministic_crb_deg(sched.combiners, pilots.symbols, amplitude, noise_variance(cfg), 0.0)
+        assert np.sqrt(np.mean(thetas**2)) == pytest.approx(crb, rel=0.05)

@@ -99,6 +99,22 @@ class TestMedianHeuristic:
         g2 = median_heuristic_gamma(3.0 * x, 0.0)
         assert g2 == pytest.approx(g1 / 9.0)
 
+    @pytest.mark.parametrize("floor", [np.nan, -1e-6, -np.inf, np.inf])
+    def test_rejects_unusable_floor(self, floor):
+        with pytest.raises(ValueError, match="floor_deg2"):
+            median_heuristic_gamma(np.array([0.0, 1.0, 2.0]), floor)
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.full(5, 0.3), np.array([0.0, 1e-310, 2e-310]), np.array([0.0, 1e-155, 2e-155])],
+        ids=["equal", "squares-underflow", "squares-subnormal"],
+    )
+    def test_rejects_spread_without_finite_gamma(self, x):
+        # the median squared distance is 0 or subnormal and there is no floor
+        with pytest.raises(ValueError, match="leave gamma infinite"):
+            median_heuristic_gamma(x, 0.0)
+        assert median_heuristic_gamma(x, 1e-6) == 1.0 / 2e-6
+
     @settings(max_examples=150, deadline=None)
     @given(
         l=st.integers(2, 400),
@@ -120,7 +136,7 @@ class TestMedianHeuristic:
             expected = _reference_median_gamma(x, floor)
         except ZeroDivisionError:
             # every difference is 0 and there is no floor
-            with pytest.raises(ZeroDivisionError):
+            with pytest.raises(ValueError, match="leave gamma infinite"):
                 median_heuristic_gamma(x, floor)
         else:
             assert median_heuristic_gamma(x, floor) == expected
