@@ -16,10 +16,12 @@ import numbers
 import sys
 from dataclasses import dataclass, field
 
-from .attacks import AttackKind
+import numpy as np
+
+from .attacks import AttackContext, AttackKind, DegenerateAttackError, attack_pilots
 from .estimator import check_grid_memory, check_grid_step
 from .ocsvm import MEDIAN_HEURISTIC, OcsvmParams
-from .signal_model import ArrayConfig, NodeGeometry, PilotSequence, ProbeSchedule
+from .signal_model import ArrayConfig, NodeGeometry, PilotSequence, ProbeSchedule, received_signal
 
 
 class ConfigError(ValueError):
@@ -131,10 +133,29 @@ class Scenario:
             check_grid_memory(self.num_antennas, self.num_probes, self.grid_step_deg)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        self.alice_geometry()
+        config, schedule, alice = self.array_config(), self.schedule(), self.alice_pilots()
+        senders = [("alice_distance_m", self.alice_geometry(), alice)]
         for theta_e in self.eve_aoas_deg:
             for d_e in self.eve_distances_m:
                 node_geometry(d_e, theta_e, "eve_distances_m entries", "eve_aoas_deg entries")
+            ctx = AttackContext(schedule, alice, self.alice_aoa_deg, theta_e)
+            try:
+                pilots = alice if self.attack == "random" else attack_pilots(self.attack_kind(), ctx)[0]
+            except DegenerateAttackError:  # the sweeps refuse the attack itself
+                continue
+            senders.append(("eve_distances_m", NodeGeometry(min(self.eve_distances_m), theta_e), pilots))
+        # The link budget: every command refuses a frame whose amplitude or
+        # energy is not finite.  Energy falls as 1/d^2, so Eve is checked at
+        # her nearest distance; random pilots have the moduli of Alice's,
+        # which stand in for them, so no stream is drawn.
+        with np.errstate(over="ignore"):
+            for name, geometry, pilots in senders:
+                try:
+                    energy = np.sum(np.abs(received_signal(schedule, geometry, pilots, config)) ** 2)
+                except ValueError as e:
+                    raise ConfigError(str(e).replace("distance_m", name)) from None
+                if not np.isfinite(energy):
+                    raise ConfigError(f"{name} {geometry.distance_m!r} at {geometry.aoa_deg!r} deg gives noiseless frame energy {float(energy)!r}")
 
     # typed views consumed by the simulator ------------------------------
 

@@ -31,18 +31,20 @@ from .signal_model import PilotSequence, ProbeSchedule
 DEFAULT_GRID_STEP_DEG = 0.05
 # the finest grid: 180,001 angles, about 50 MB of responses
 MIN_GRID_STEP_DEG = 0.001
-# The largest grid: its (g x N) steering matrix and (g x T) responses, at 16
-# bytes an entry.  The finest step takes 95 MB of them at the default 16
-# antennas and 17 probes, 369 MB at 64 and 64.  A build's peak is about 1.7
-# times its entries (tracemalloc: 163 MB at the finest default grid), so it
-# stays under 1 GB; 100,000 antennas at the default step would take 5.8 GB.
+# The largest grid: its (g x N) steering matrix, (g x T) responses and the
+# (T x N) combiners they are built from, at 16 bytes an entry.  The finest
+# step takes 95 MB of them at the default 16 antennas and 17 probes, 369 MB
+# at 64 and 64.  A build's peak is about 1.7 times its entries (tracemalloc:
+# 163 MB at the finest default grid), so it stays under 1 GB; 100,000
+# antennas at the default step would take 5.8 GB.
 _MAX_GRID_BYTES = 1 << 29
 # Scratch bytes of estimate_batch: a sixteenth for a block's keep table and
 # gathered rows (526 rows at 0.05 deg), the rest at 32 bytes a kept entry,
 # in whole grid rows (33 at 0.05 deg), for a part's products and costs (24)
-# and index tables (under 8)
+# and index tables (under 8); a block's coarse pass runs first in the products'
+# and costs' memory, 12 bytes a row and node (1.4 MB at 0.05 deg)
 _BLOCK_BYTES = 4 << 20
-# Columns per pruning cell.  OpenBLAS's zgemm (0.3.31, Haswell kernel) gives
+# Columns per pruning cell.  OpenBLAS's zgemm (0.3.31, SkylakeX kernel) gives
 # every column of ys @ R[:, a:b] the bits of the full product when a is a
 # multiple of 16 and b - a is a multiple of 16, or b is the last column and
 # b - a >= 2 (one column takes the matrix-vector path), so runs of cells can
@@ -55,8 +57,9 @@ _CELL_COLUMNS = 16
 # by row.  Strong-signal blocks keep all or nearly all of their union's
 # cells (1.0-1.04 times on the auth benchmarks at the reference seed),
 # weaker ones 1.3-2.1 times, noise-only blocks one cell in 30-33 of it.
-# Scoring such blocks by row instead costs 20-30% more time on signal
-# batches and 1.5 MB more peak RSS on the auth-far benchmark (BENCH_10.json).
+# Scoring by row without this rule and the one-matrix layout took an auth-far
+# sweep's estimate_batch calls from 13.3 to 16.2 ms, and rmse-cba's sweep_s
+# from 0.121 to 0.137 s; without the layout alone, 15.8 ms (2-core VM).
 _UNION_SCORE = 1.25
 
 
@@ -104,25 +107,25 @@ def check_grid_step(grid_step_deg: float) -> None:
 
 
 def check_grid_memory(num_antennas: int, num_probes: int, grid_step_deg: float) -> None:
-    """Raise ValueError unless the steering matrix and responses of a grid,
-    g (N + T) complex entries, fit in _MAX_GRID_BYTES."""
+    """Raise ValueError unless the steering matrix and responses of a grid
+    and its combiners, g (N + T) + T N complex entries, fit in _MAX_GRID_BYTES."""
     g = int(round(180.0 / grid_step_deg)) + 1
-    size = 16 * g * (num_antennas + num_probes)
+    size = 16 * (g * (num_antennas + num_probes) + num_probes * num_antennas)
     if size > _MAX_GRID_BYTES:
         raise ValueError(
             f"num_antennas {num_antennas!r} and num_probes {num_probes!r} at grid_step_deg {grid_step_deg!r} "
-            f"need a {g} x ({num_antennas} + {num_probes}) grid of {size >> 20} MiB, above {_MAX_GRID_BYTES >> 20} MiB"
+            f"need a {g} x ({num_antennas} + {num_probes}) grid and its combiners, {size >> 20} MiB, above {_MAX_GRID_BYTES >> 20} MiB"
         )
 
 
-def _score(costs, norms2, orthogonal, total):
+def _score(costs, norms2, total):
     """The costs ||y||^2 - |z^H y|^2 / ||z||^2, in place over the |z^H y|
     values ``costs`` (rows x columns): ``norms2`` holds the columns' ||z||^2
-    (1 where it is 0), ``orthogonal`` marks the zero-norm columns, where
-    the cost is ||y||^2, and ``total`` is each row's ||y||^2."""
+    (1 where it is 0) and ``total`` each row's ||y||^2.  Where ||z||^2 is 0
+    every |z_t| is below 2^-537.5, so q = |z^H y|^2 <= T 2^-1075 ||y||^2 lies
+    far below half an ulp of ||y||^2, and ||y||^2 - q rounds to ||y||^2."""
     np.square(costs, out=costs)
     np.divide(costs, norms2, out=costs)
-    np.copyto(costs, 0.0, where=orthogonal)
     return np.subtract(total[:, None], costs, out=costs)
 
 
@@ -197,7 +200,6 @@ class ResponseGrid:
         slots = -(-g // _CELL_COLUMNS)
         pad = slots * _CELL_COLUMNS - g
         self._slot_norms2 = np.r_[np.where(norms2 > 0.0, norms2, 1.0), np.ones(pad)].reshape(slots, _CELL_COLUMNS)
-        self._slot_orthogonal = np.r_[norms2 == 0.0, np.ones(pad, dtype=bool)].reshape(slots, _CELL_COLUMNS)
 
     @property
     def step_deg(self) -> float:
@@ -224,21 +226,22 @@ class ResponseGrid:
         g = len(self.angles_deg)
         total = self._energy(ys)
         costs = np.abs(ys @ self._responses_h)
-        return _score(costs, self._slot_norms2.ravel()[:g], self._slot_orthogonal.ravel()[:g], total)
+        return _score(costs, self._slot_norms2.ravel()[:g], total)
 
     def _bounds(self, ys, total, prod, buf, unit):
         """Per-row float32 bounds on |zh^H y| / ||y|| over each cell's
         stretched columns, 2 eta included (rows x cells), and each row's best
         node.  Rows are scaled to unit norm, or to 0 when ``total`` is 0 or
-        subnormal, in the complex64 scratch ``unit``; the rest lies in float32
-        views of the flat scratch ``prod`` and ``buf``, the bounds in ``buf``."""
+        subnormal, in the complex64 scratch ``unit``; their node products lie
+        in the flat scratch ``prod``, the amplitudes in ``buf``, the bounds
+        in ``prod`` over the spent products."""
         rows, m = len(ys), self._nodes_h.shape[1]
         scale = np.divide(1.0, np.sqrt(total), out=np.zeros(rows), where=total >= np.finfo(float).tiny)
         yh = np.multiply(ys, scale[:, None], out=unit[:rows], casting="same_kind")
         nodes = prod.view(np.complex64)[: rows * m].reshape(rows, m)
         amp = buf.view(np.float32)[: rows * m].reshape(rows, m)
-        bound = buf.view(np.float32)[rows * m : rows * (2 * m - 1)].reshape(rows, m - 1)
         np.abs(np.matmul(yh, self._nodes_h, out=nodes), out=amp)
+        bound = prod.view(np.float32)[: rows * (m - 1)].reshape(rows, m - 1)
         np.maximum(amp[:, :-1], amp[:, 1:], out=bound)
         bound += self._cell_reach
         return bound, np.max(amp, axis=1)
@@ -303,8 +306,7 @@ class ResponseGrid:
             # the costs are already in row order: score them as costs_batch
             # scores the whole grid
             kept_slots = np.flatnonzero(keep[0])
-            norms2, orthogonal = self._slot_norms2[kept_slots].ravel(), self._slot_orthogonal[kept_slots].ravel()
-            costs = _score(costs.reshape(rows, -1), norms2, orthogonal, total)
+            costs = _score(costs.reshape(rows, -1), self._slot_norms2[kept_slots].ravel(), total)
             flat = np.argmin(costs, axis=1)
             idx = w * kept_slots[flat // w] + flat % w
             flat += np.arange(rows) * costs.shape[1]
@@ -322,7 +324,7 @@ class ResponseGrid:
             costs = np.take(costs.view(whole), order, out=prod.view(whole)[:used], mode="clip")
             norms = np.take(self._slot_norms2.view(whole).ravel(), kept_slots, out=buf.view(whole)[:used], mode="clip")
             norms2 = norms.view(np.float64).reshape(used, w)
-            costs = _score(costs.view(np.float64).reshape(used, w), norms2, self._slot_orthogonal[kept_slots], total[kept_rows])
+            costs = _score(costs.view(np.float64).reshape(used, w), norms2, total[kept_rows])
             # each row's first minimum, as a dense argmin: its first cost
             # equal to the row's least; found by slot (its flags read as
             # w // 8 words, which takes less memory than listing every tie
@@ -354,14 +356,13 @@ class ResponseGrid:
         return AoaEstimate(theta, float(np.sum(np.abs(y - gain_hat(z, y) * z) ** 2)))
 
     def _block_shape(self, ys):
-        """The kept entries a part scores at most, the rows of one block and
-        the rows of one coarse step, as _BLOCK_BYTES divides the scratch; a
-        step's bounds fit the scratch of ``budget`` entries."""
+        """The kept entries a part scores at most and the rows of one block,
+        as _BLOCK_BYTES divides the scratch; a block's node amplitudes, m
+        float32 a row, fit the scratch of ``budget`` entries."""
         slots, w = self._slot_norms2.shape
-        block = max(2, _BLOCK_BYTES // 16 // (slots + ys.itemsize * ys.shape[1]))
         budget = max(2, (_BLOCK_BYTES - _BLOCK_BYTES // 16) // (32 * slots * w)) * slots * w
-        step = max(2, min(block, budget // (2 * self._nodes_h.shape[1] - 1)))
-        return budget, block, step
+        block = min(_BLOCK_BYTES // 16 // (slots + ys.itemsize * ys.shape[1]), 2 * budget // self._nodes_h.shape[1])
+        return budget, max(2, block)
 
     def estimate_batch(self, ys: np.ndarray) -> np.ndarray:
         """Refined angle estimates for a batch of observations: the grid
@@ -371,28 +372,25 @@ class ResponseGrid:
         :meth:`costs_batch`.  Each row scores exactly only the cells its own
         bound keeps, or its block's union of them when that is barely more,
         with the bits of the dense costs there, so that its argmin and the
-        argmin's neighbours are the dense ones.  Rows are bounded in steps,
-        then scored in parts of whole rows whose kept cells fit the scratch.
+        argmin's neighbours are the dense ones.  Rows are bounded a block at
+        a time, then scored in parts of whole rows whose kept cells fit.
         """
         n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._cell_reach)
         total = self._energy(ys)
-        # Scratch for the products and costs of ``budget`` kept entries.  A
-        # block's rows are bounded ``step`` rows at a time in the same
-        # memory, then scored together.
-        budget, block, step = self._block_shape(ys)
+        # Scratch for the products and costs of ``budget`` kept entries,
+        # which first holds a block's bounds
+        budget, block = self._block_shape(ys)
         prod = np.empty(budget + 2 * slots * w, dtype=complex)
         buf = np.empty(budget + slots * w)
         keep = np.empty((min(n, block), slots), dtype=bool)
         picked = np.empty((max(2, len(keep)), ys.shape[1]), dtype=ys.dtype)
-        unit = np.empty((min(n, step), ys.shape[1]), dtype=np.complex64)
+        unit = np.empty((len(keep), ys.shape[1]), dtype=np.complex64)
         out = np.empty(n)
         for lo in range(0, n, block):
             rows = min(n - lo, block)
             kept = keep[:rows]
-            for a in range(0, rows, step):
-                b = min(rows, a + step)
-                bound, best = self._bounds(ys[lo + a : lo + b], total[lo + a : lo + b], prod, buf, unit)
-                np.greater_equal(bound, best[:, None], out=kept[a:b, :cells])
+            bound, best = self._bounds(ys[lo : lo + rows], total[lo : lo + rows], prod, buf, unit)
+            np.greater_equal(bound, best[:, None], out=kept[:, :cells])
             # slots past the last cell follow it
             kept[:, cells:] = kept[:, cells - 1 : cells]
             union = np.any(kept, axis=0)

@@ -83,7 +83,8 @@ def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
     The median is exact: it has the bits of ``np.median`` over all l(l-1)/2
     squared distances, but is selected in O(l) memory.  A ValueError names a
     floor that is not finite and >= 0, and a median and floor that leave
-    gamma infinite (both 0, or their larger below about 2.8e-309).
+    gamma infinite (both 0, or their larger below about 2.8e-309) or 0 (their
+    larger above about 9e307, where twice it overflows).
     """
     if not 0.0 <= floor_deg2 < math.inf:
         raise ValueError(f"floor_deg2 must be finite and >= 0, got {floor_deg2!r}")
@@ -102,8 +103,9 @@ def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
         m = float(np.median(np.square(_middle_differences(np.sort(x)))))
     spread = max(m, floor_deg2)
     gamma = 1.0 / (2.0 * spread) if spread > 0.0 else math.inf
-    if gamma == math.inf:
-        raise ValueError(f"the median squared distance {m!r} and floor_deg2 {floor_deg2!r} leave gamma infinite")
+    if not 0.0 < gamma < math.inf:
+        word = "infinite" if gamma else "0"
+        raise ValueError(f"the median squared distance {m!r} and floor_deg2 {floor_deg2!r} leave gamma {word}")
     return gamma
 
 

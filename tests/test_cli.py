@@ -263,16 +263,40 @@ class TestRefusedFrames:
         assert not list(out.glob("*.csv"))
 
     def test_nan_frames_fail_alike_in_every_command(self, tmp_path):
-        # the wavelength at 1e-300 Hz overflows, so the received amplitude is
-        # infinite; it is refused before it can make a NaN frame
-        cfg = write_config(tmp_path, carrier_freq_hz=1e-300)
+        # 10^297 W sent from 1e-300 m away gives an infinite received
+        # amplitude; it is refused before it can make a NaN frame
+        cfg = write_config(tmp_path, tx_power_dbm=3000.0)
         assert main(["validate-config", "--config", cfg]) == EXIT_OK
         out = tmp_path / "out"
-        for argv in (["estimate", "--theta", "10"], ["cost-curve", "--out", str(out)]):
+        for argv in (["estimate", "--theta", "10", "--distance", "1e-300"],
+                     ["cost-curve", "--eve-distance", "1e-300", "--out", str(out)]):
             run = run_fresh("-m", "aoa_auth.cli", *argv, "--config", cfg)
             assert run.returncode == EXIT_RUNTIME, run.stderr
             assert "runtime error (ValueError): received amplitude inf is not finite" in run.stderr
         assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # the wavelength at 1e-300 Hz overflows
+        ("carrier_freq_hz", 1e-300, "received amplitude inf is not finite"),
+        ("eve_distances_m", [1e-300], "noiseless frame energy inf"),
+        # refused although the RMSE sweep, which sends no Alice frames, ran
+        ("alice_distance_m", 1e-300, "noiseless frame energy inf"),
+    ],
+)
+def test_link_budget_that_no_sweep_can_run_is_config_error(tmp_path, capsys, field, value, message):
+    # these validated, and then both sweeps exited 3 on their first frame,
+    # but for the RMSE sweep with Alice 1e-300 m away
+    cfg = write_config(tmp_path, **{field: value})
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert field in err and message in err, err
+    for command in ("auth-sweep", "rmse-sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestSweeps:

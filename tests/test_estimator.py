@@ -203,6 +203,9 @@ class TestCostCurve:
             ResponseGrid(sched, setup[1], MIN_GRID_STEP_DEG)
         with pytest.raises(ValueError, match="num_probes"):
             check_grid_memory(16, 10**9, 10.0)
+        # the 19-angle grid itself would take 464 MiB, its combiners 9.3 TiB
+        with pytest.raises(ValueError, match="combiners"):
+            check_grid_memory(800_000, 800_000, 10.0)
 
 
 class TestEstimateAoa:
@@ -449,7 +452,7 @@ class TestCostsMatchDenseExpression:
     def test_zero_norm_columns(self):
         # the second beam w = [1, -1] is null at broadside, and the zero
         # first pilot symbol leaves only that beam, so the 0 deg column of
-        # the grid has zero norm and is masked
+        # the grid has zero norm and costs ||y||^2
         sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
         grid = ResponseGrid(sched, PilotSequence([0.0, 1.0]))
         assert np.array_equal(np.flatnonzero(_norms2(grid) == 0.0), [1800])
@@ -459,6 +462,25 @@ class TestCostsMatchDenseExpression:
         assert np.array_equal(costs, _dense_costs(grid, ys))
         assert np.array_equal(costs[:, 1800], np.sum(np.abs(ys) ** 2, axis=1))
         assert np.array_equal(grid.costs_batch(ys[:1])[0], costs[0])
+
+    def test_underflowed_zero_norm_column(self):
+        # with first pilot symbol 1e-170 the 0 deg response is [2e-170, 0],
+        # nonzero, but its ||z||^2 underflows to 0: its cost is still exactly
+        # ||y||^2, unmasked, and the search takes the dense angles, for
+        # frames of any scale
+        sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
+        grid = ResponseGrid(sched, PilotSequence([1e-170, 1.0]))
+        assert np.array_equal(np.flatnonzero(_norms2(grid) == 0.0), [1800])
+        assert _responses(grid)[1800, 0] != 0.0
+        rng = np.random.default_rng(34)
+        ys = rng.standard_normal((300, 2)) + 1j * rng.standard_normal((300, 2))
+        ys[:100] = 0.01 * ys[:100] + _responses(grid)[1800]
+        ys /= np.linalg.norm(ys, axis=1)[:, None]
+        for scale in (1e-150, 1.0, 1e150):
+            costs = grid.costs_batch(scale * ys)
+            assert np.array_equal(costs[:, 1800], np.sum(np.abs(scale * ys) ** 2, axis=1))
+            assert np.array_equal(costs, _dense_costs(grid, scale * ys))
+            assert np.array_equal(grid.estimate_batch(scale * ys), _dense_estimates(grid, scale * ys))
 
     def test_single_frame_is_its_batch_row(self, setup):
         # a one-row product takes BLAS's matrix-vector path, which moves
@@ -674,6 +696,16 @@ def _two_tone_frames(grid, u_peaks):
     return np.linalg.lstsq(poly.T, v.T, rcond=None)[0].T
 
 
+def _node_amplitudes(grid, ys):
+    # the coarse pass's float32 |zh^H yh| at every node, which _bounds leaves
+    # in the float32 view of its scratch ``buf``
+    m = grid._nodes_h.shape[1]
+    total = np.sum(np.abs(ys) ** 2, axis=1)
+    buf = np.empty(len(ys) * m)
+    grid._bounds(ys, total, np.empty(len(ys) * m, dtype=complex), buf, np.empty(ys.shape, dtype=np.complex64))
+    return buf.view(np.float32)[: len(ys) * m].reshape(len(ys), m)
+
+
 def _worst_residual_frames(grid):
     # one frame per cell, along the largest residual of its stretched
     # columns' unit responses from the chord between its nodes' (a column
@@ -731,6 +763,41 @@ class TestCellBoundSoundness:
                 signal = received_signal(sched, NodeGeometry(dist, theta), pilots, cfg)
                 frames.append(synthesize_observation(signal, sigma2, 3, rng))
         self.check(grid, np.concatenate(frames))
+
+    def test_margin_covers_float32_rounding(self, setup):
+        # eta = sqrt(2) gamma_2T + 8u, derived in ResponseGrid.__init__,
+        # bounds how far a float32 node amplitude of the coarse pass lies
+        # from the float64 |zh^H y| / ||y||, and each cell's float32 reach
+        # holds its float64 reach plus 2 eta; with eta = 0 the reach falls
+        # short of that
+        sched, pilots, cfg = setup
+        grid = ResponseGrid(sched, pilots)
+        tu = 2 * sched.num_probes * 2.0**-24
+        eta = np.sqrt(2.0) * tu / (1.0 - tu) + 8 * 2.0**-24
+        rng = np.random.default_rng(99)
+        frames = [
+            synthesize_observation(np.zeros(17, dtype=complex), noise_variance(cfg), 100, rng),
+            _worst_residual_frames(grid),
+        ]
+        for theta in rng.uniform(-89.9, 89.9, 50):
+            for dist in (10.0, 300.0):
+                signal = received_signal(sched, NodeGeometry(dist, theta), pilots, cfg)
+                frames.append(synthesize_observation(signal, noise_variance(cfg), 2, rng))
+        ys = np.concatenate(frames)
+        yh = ys / np.linalg.norm(ys, axis=1)[:, None]
+        ys = np.concatenate([ys, 1e-150 * yh, yh, 1e150 * yh])
+        zh = _responses(grid) / np.sqrt(_norms2(grid))[:, None]
+        nodes = _nodes(len(grid.angles_deg))
+        exact = np.abs(ys @ zh[nodes].conj().T) / np.linalg.norm(ys, axis=1)[:, None]
+        assert np.max(np.abs(_node_amplitudes(grid, ys) - exact)) <= eta
+        # the float64 reach: the largest residual of a cell's unit responses
+        # from its chord, over the columns from one before its first node to
+        # its second
+        for c, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
+            cols = np.arange(max(a - 1, 0), b + 1)
+            t = np.clip((cols - a) / (b - a), 0.0, 1.0)[:, None]
+            reach = np.max(np.linalg.norm(zh[cols] - (1.0 - t) * zh[a] - t * zh[b], axis=1))
+            assert grid._cell_reach[c] >= reach + 2.0 * eta, c
 
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_two_antenna_grids(self, eps):

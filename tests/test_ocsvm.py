@@ -158,18 +158,28 @@ class TestMedianHeuristic:
             np.repeat([0.0, 0.1], [465, 435]),
             # 1.0 + k ulp: settled rows where fl(x_i + t) rounds
             1.0 + np.arange(500) * np.finfo(float).eps,
-            # differences that overflow to inf
-            np.array([-1e308, 1e308, 0.0, 5.0]),
             # -0.0 - 0.0 is -0.0, the smallest difference
             np.concatenate([[-1.0, 0.0, -0.0], np.linspace(1.0, 2.0, 97)]),
         ],
         ids=["l3", "l3-tie", "l90", "l91", "l92", "l93", "l94", "l95", "l1000",
-             "cauchy", "equal", "straddle", "straddle-0.1", "ulps", "overflow", "signed-zeros"],
+             "cauchy", "equal", "straddle", "straddle-0.1", "ulps", "signed-zeros"],
     )
     def test_fixed_cases_match_all_pairs_median(self, x):
         with np.errstate(over="ignore"):
             expected = _reference_median_gamma(x, 1e-12)
         assert median_heuristic_gamma(x, 1e-12) == expected
+
+    def test_rejects_spread_that_leaves_gamma_zero(self):
+        # differences that overflow make the median squared distance inf,
+        # and a floor of 1e308 doubles to inf: either leaves gamma 0, where
+        # train's kernel rows would be exp(-0 * inf), NaN
+        x = np.array([-1e308, 1e308, 0.0, 5.0])
+        with pytest.raises(ValueError, match="leave gamma 0"):
+            median_heuristic_gamma(x, 1e-12)
+        with pytest.raises(ValueError, match="leave gamma 0"):
+            median_heuristic_gamma(np.array([0.0, 1.0]), 1e308)
+        with pytest.raises(ValueError, match="leave gamma 0"):
+            train(x, OcsvmParams(nu=0.5))
 
     def test_straddling_middle_ranks_average_their_squares(self):
         # 465 * 464 / 2 + 435 * 434 / 2 = 465 * 435: the lower middle
