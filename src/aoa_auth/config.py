@@ -141,8 +141,11 @@ class Scenario:
             ctx = AttackContext(schedule, alice, self.alice_aoa_deg, theta_e)
             try:
                 pilots = alice if self.attack == "random" else attack_pilots(self.attack_kind(), ctx)[0]
-            except DegenerateAttackError:  # the sweeps refuse the attack itself
-                continue
+            except DegenerateAttackError as e:
+                raise ConfigError(
+                    f"num_probes {self.num_probes!r}: the {self.attack} attack from eve_aoas_deg entry "
+                    f"{theta_e!r} toward alice_aoa_deg {self.alice_aoa_deg!r} fails: {e}"
+                ) from None
             senders.append(("eve_distances_m", NodeGeometry(min(self.eve_distances_m), theta_e), pilots))
         # The link budget: every command refuses a frame whose amplitude or
         # energy is not finite.  Energy falls as 1/d^2, so Eve is checked at

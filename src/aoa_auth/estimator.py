@@ -12,11 +12,12 @@ one parabolic refinement around the winning grid point.
 
 The search scores exactly, in each frame, only the grid cells that the
 frame's own bound cannot rule out.  With zh = z / ||z||, every column of a
-cell is the chord between its nodes' zh plus a residual e (a column one past
-a node: that node's zh plus a step e), so |zh^H y| <= max over the nodes of
-|zh^H y| + max ||e|| * ||y||, where max ||e|| is read off the grid itself.
-The bound only filters, so it runs in float32 on yh = y / ||y|| with a margin
-for rounding; a frame whose ||y||^2 is 0 or subnormal keeps every cell.
+cell is the chord between its nodes' zh plus a residual e (the column before
+its first node: that node's zh plus a step e), so |zh^H y| <= max over the
+nodes of |zh^H y| + max ||e|| * ||y||, where max ||e|| is read off the grid
+itself.  The bound only filters, so it runs in float32 on yh = y / ||y|| with
+a margin for rounding; a frame whose ||y||^2 is 0 or subnormal keeps every
+cell.
 """
 
 from __future__ import annotations
@@ -54,12 +55,15 @@ _CELL_COLUMNS = 16
 # A block scores the union of its rows' kept cells in every row when that is
 # at most this many times the pairs they keep, so that its products are one
 # (rows x kept columns) matrix scored like costs_batch's, with no reordering
-# by row.  Strong-signal blocks keep all or nearly all of their union's
-# cells (1.0-1.04 times on the auth benchmarks at the reference seed),
-# weaker ones 1.3-2.1 times, noise-only blocks one cell in 30-33 of it.
-# Scoring by row without this rule and the one-matrix layout took an auth-far
-# sweep's estimate_batch calls from 13.3 to 16.2 ms, and rmse-cba's sweep_s
-# from 0.121 to 0.137 s; without the layout alone, 15.8 ms (2-core VM).
+# by row.  In the benchmark sweeps at the reference seed, strong-signal
+# blocks keep all or nearly all of their union's cells (1.0-1.23 times, 28
+# of 68 blocks), weaker ones 1.3-2.4 times (15), a few 3.5-6.3 times and
+# noise-only blocks one cell in 13-34 of it.  On those sweeps' estimate_batch
+# inputs (rmse-cba in its calls of up to a block; 2-core VM, 21 alternating
+# rounds, medians) this rule took auth-lba 122.4 ms, rmse-cba 62.3 and
+# auth-far 21.6, and no union at all 124.4, 66.3 and 27.0.  3.0 took 118.8,
+# 58.5 and 20.2, but its larger union products raised auth-lba's peak RSS by
+# about 1 MB (2%) in the benchmark.
 _UNION_SCORE = 1.25
 
 
@@ -156,24 +160,28 @@ class ResponseGrid:
 
         # Pruning cells: cell c spans the columns between nodes c and c + 1,
         # nodes being every _CELL_COLUMNS-th column and the last one; it is
-        # scored as the columns from node c up to node c + 1 (the last cell
-        # up to the end of the grid).  Its bound covers one column more on
-        # each side, so a scored argmin always has its neighbours scored.
+        # scored as the columns from node c up to the one before node c + 1
+        # (the last cell up to the end of the grid).  Its bound covers one
+        # column more on each side, a - 1 and b for cell [a, b], and so a
+        # scored argmin has its neighbours scored: an argmin on node a is
+        # the best node, which cells c - 1 and c both bound, and an argmin on
+        # b - 1 is column a - 1 of cell c + 1, which that cell's bound covers.
         g = len(self.angles_deg)
         nodes = np.minimum(np.arange(0, g + _CELL_COLUMNS - 1, _CELL_COLUMNS), g - 1)
         # 1 / ||z||, 0 where ||z|| = 0, so that zh = z / ||z|| is 0 there
         inv_norms = np.divide(1.0, np.sqrt(norms2), out=np.zeros(g), where=norms2 > 0.0)
         zh = responses[nodes] * inv_norms[nodes, None]
         self._nodes_h = np.ascontiguousarray(zh.conj().T, dtype=np.complex64)
-        # Column j of cell [a, b] is the chord ((b - j) zh_a + (j - a) zh_b) /
-        # (b - a) plus a residual, and column a - 1 (b + 1) is zh_a (zh_b) plus
-        # a step; the cell's reach is the largest residual or step norm, so
-        # that |zh_j^H y| <= max(|zh_a^H y|, |zh_b^H y|) + reach * ||y||.  It is
-        # built one column offset at a time, with room for rounding.
+        # Column j of cell [a, b], a <= j <= b, is the chord ((b - j) zh_a +
+        # (j - a) zh_b) / (b - a) plus a residual, and column a - 1 is zh_a
+        # plus a step; the cell's reach is the largest residual or step norm,
+        # so that |zh_j^H y| <= max(|zh_a^H y|, |zh_b^H y|) + reach * ||y|| for
+        # j from a - 1 to b.  It is built one column offset at a time, with
+        # room for rounding.
         a, b = nodes[:-1], nodes[1:]
         reach = np.zeros(len(a))
         for k in range(-1, _CELL_COLUMNS + 1):
-            cols = np.clip(np.minimum(a + k, b + 1), 0, g - 1)
+            cols = np.clip(a + k, 0, b)
             t = np.clip(k / (b - a), 0.0, 1.0)[:, None]
             residual = responses[cols] * inv_norms[cols, None] - (1.0 - t) * zh[:-1] - t * zh[1:]
             np.maximum(reach, np.linalg.norm(residual, axis=1), out=reach)
@@ -355,14 +363,21 @@ class ResponseGrid:
         z = self.schedule.beam_gains(theta) * self.symbols
         return AoaEstimate(theta, float(np.sum(np.abs(y - gain_hat(z, y) * z) ** 2)))
 
-    def _block_shape(self, ys):
-        """The kept entries a part scores at most and the rows of one block,
-        as _BLOCK_BYTES divides the scratch; a block's node amplitudes, m
-        float32 a row, fit the scratch of ``budget`` entries."""
-        slots, w = self._slot_norms2.shape
+    def _block_shape(self, itemsize):
+        """The kept entries a part scores at most and the rows of one block
+        of frames of ``itemsize`` bytes an entry, as _BLOCK_BYTES divides the
+        scratch; a block's node amplitudes, m float32 a row, fit the scratch
+        of ``budget`` entries."""
+        (t, m), (slots, w) = self._nodes_h.shape, self._slot_norms2.shape
         budget = max(2, (_BLOCK_BYTES - _BLOCK_BYTES // 16) // (32 * slots * w)) * slots * w
-        block = min(_BLOCK_BYTES // 16 // (slots + ys.itemsize * ys.shape[1]), 2 * budget // self._nodes_h.shape[1])
+        block = min(_BLOCK_BYTES // 16 // (slots + itemsize * t), 2 * budget // m)
         return budget, max(2, block)
+
+    @property
+    def block_rows(self) -> int:
+        """The rows of complex128 frames that :meth:`estimate_batch` bounds
+        at once (526 at 0.05 deg): a batch of at most this many is one block."""
+        return self._block_shape(np.dtype(complex).itemsize)[1]
 
     def estimate_batch(self, ys: np.ndarray) -> np.ndarray:
         """Refined angle estimates for a batch of observations: the grid
@@ -379,7 +394,7 @@ class ResponseGrid:
         total = self._energy(ys)
         # Scratch for the products and costs of ``budget`` kept entries,
         # which first holds a block's bounds
-        budget, block = self._block_shape(ys)
+        budget, block = self._block_shape(ys.itemsize)
         prod = np.empty(budget + 2 * slots * w, dtype=complex)
         buf = np.empty(budget + slots * w)
         keep = np.empty((min(n, block), slots), dtype=bool)

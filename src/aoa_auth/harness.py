@@ -205,7 +205,13 @@ def run_estimate(scenario: Scenario, theta_deg: float, distance_m: float) -> Aoa
 
 def run_rmse_sweep(scenario: Scenario) -> list[dict]:
     """RMSE of the estimated angle against the legitimate angle, per sweep
-    point, over ``scenario.trials`` per-trial-seeded frames."""
+    point, over ``scenario.trials`` per-trial-seeded frames.
+
+    Consecutive distances of one attacker angle are estimated in one call,
+    as many points as one estimator block holds (at least one), so that no
+    call pays for a block it leaves mostly empty; a frame's angle does not
+    depend on the batch it is in.
+    """
     scenario.validate()
     kind = scenario.attack_kind()
     if kind not in (AttackKind.CODE_BASED, AttackKind.LOCATION_BASED):
@@ -214,26 +220,32 @@ def run_rmse_sweep(scenario: Scenario) -> list[dict]:
     grid = ResponseGrid(schedule, scenario.alice_pilots(), scenario.grid_step_deg)
 
     # trials < 2**32, so each trial index is one entropy word
-    trials = np.arange(scenario.trials, dtype=np.uint32)
+    n = scenario.trials
+    trials = np.arange(n, dtype=np.uint32)
+    per_call = max(1, grid.block_rows // n)
+    distances = scenario.eve_distances_m
+    ys = np.empty((min(per_call, len(distances)) * n, schedule.num_probes), dtype=complex)
     rows = []
     for theta_e in scenario.eve_aoas_deg:
         pilots, _ = eve_pilots(scenario, schedule, kind, theta_e)
-        for d_e in scenario.eve_distances_m:
-            # stream of trial k: derive_trial_rng(seed, "rmse", attack, theta_e, d_e, k)
-            point = _entropy(scenario.master_seed, "rmse", scenario.attack, theta_e, d_e)
-            rngs = _streams(point, trials)
-            geometry = NodeGeometry(d_e, theta_e)
-            ys = _frames(scenario, schedule, geometry, pilots, scenario.trials, rngs)
-            estimates = grid.estimate_batch(ys)
-            rows.append(
-                {
-                    "attack": scenario.attack,
-                    "theta_e_deg": float(theta_e),
-                    "d_e_m": float(d_e),
-                    "trials": scenario.trials,
-                    "rmse_deg": rmse(estimates, scenario.alice_aoa_deg),
-                }
-            )
+        for lo in range(0, len(distances), per_call):
+            group = distances[lo : lo + per_call]
+            for k, d_e in enumerate(group):
+                # stream of trial k: derive_trial_rng(seed, "rmse", attack, theta_e, d_e, k)
+                point = _entropy(scenario.master_seed, "rmse", scenario.attack, theta_e, d_e)
+                geometry = NodeGeometry(d_e, theta_e)
+                ys[k * n : (k + 1) * n] = _frames(scenario, schedule, geometry, pilots, n, _streams(point, trials))
+            estimates = grid.estimate_batch(ys[: len(group) * n])
+            for k, d_e in enumerate(group):
+                rows.append(
+                    {
+                        "attack": scenario.attack,
+                        "theta_e_deg": float(theta_e),
+                        "d_e_m": float(d_e),
+                        "trials": n,
+                        "rmse_deg": rmse(estimates[k * n : (k + 1) * n], scenario.alice_aoa_deg),
+                    }
+                )
     return rows
 
 
@@ -327,12 +339,45 @@ def run_auth_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
 # output layout
 
 
+def _openblas_core() -> str | None:
+    """The kernel the OpenBLAS bundled with numpy picked for this CPU, if
+    numpy bundles one; the sweeps' bits depend on it."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
 def write_manifest(out_dir, scenario: Scenario, experiment: str) -> None:
+    import platform
+
+    try:  # numpy 1.24 has no "dicts" mode
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
     manifest = {
         "experiment": experiment,
         "master_seed": scenario.master_seed,
         "config_hash": scenario.config_hash(),
         "config": scenario.to_dict(),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "openblas_core": _openblas_core(),
+        },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)

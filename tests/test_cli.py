@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aoa_auth.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
@@ -229,6 +231,13 @@ class TestCostCurve:
         assert manifest["experiment"] == "cost-curve"
         assert manifest["master_seed"] == 5
         assert len(manifest["config_hash"]) == 64
+        # what the run's bits depend on, and no timings
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "blas", "openblas_core"}
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert env["openblas_core"] is None or env["openblas_core"].strip()
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -297,6 +306,31 @@ def test_link_budget_that_no_sweep_can_run_is_config_error(tmp_path, capsys, fie
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, angle",
+    [
+        # two beams at +-90 deg, which 16 antennas null toward Alice at 0 deg
+        ({"num_probes": 2, "attack": "code-based"}, "eve_aoas_deg entry 45.0"),
+        # ... and toward Eve at 30 deg, so that she has no beam to invert
+        ({"num_probes": 2, "eve_aoas_deg": [45.0, 30.0]}, "eve_aoas_deg entry 30.0"),
+        # four beams at +-90 and +-30 deg, all null toward 0 deg
+        ({"num_probes": 4, "attack": "code-based"}, "eve_aoas_deg entry 45.0"),
+    ],
+)
+def test_attack_that_cannot_normalize_is_config_error(tmp_path, capsys, overrides, angle):
+    # these validated, and then auth-sweep exited 3 on DegenerateAttackError
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "num_probes" in err and angle in err, err
+    for command in ("auth-sweep", "rmse-sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+    # random pilots need no beam toward Alice
+    assert main(["validate-config", "--config", write_config(tmp_path, **{**overrides, "attack": "random"})]) == EXIT_OK
 
 
 class TestSweeps:

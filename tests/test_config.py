@@ -53,7 +53,20 @@ def test_valid_values_cover_every_field():
     assert set(VALID) == {f.name for f in dataclasses.fields(Scenario)}
 
 
-@given(st.fixed_dictionaries({}, optional=VALID))
+def attack_can_normalize(data):
+    """Whether the scenario's code- or location-based attack is sure to
+    normalize.  Uniform beams at two, three or four probes lie at angles of
+    sine 0, +-1/2 or +-1 (0, +-30 and +-90 deg), and the 2-64 antennas may
+    null all of them toward Alice or Eve at 0 or +-30 deg, which validation
+    then refuses; five or more beams include an angle of irrational sine."""
+    return data.get("attack", "location-based") in ("none", "random") or data.get("num_probes", 17) >= 5
+
+
+# a valid scenario: any valid values whose attack can normalize
+SCENARIOS = st.fixed_dictionaries({}, optional=VALID).filter(attack_can_normalize)
+
+
+@given(SCENARIOS)
 def test_valid_scenarios_round_trip(data):
     scenario = Scenario.from_dict(data)
     again = Scenario.from_dict(json.loads(json.dumps(scenario.to_dict())))
@@ -70,7 +83,7 @@ def as_float(name, value):
     return value
 
 
-@given(st.fixed_dictionaries({}, optional=VALID))
+@given(SCENARIOS)
 @example({"tx_power_dbm": 10})
 def test_numbers_written_as_ints_hash_as_floats(data):
     as_floats = {name: as_float(name, value) for name, value in data.items()}

@@ -328,7 +328,7 @@ class TestEstimateBatchBlocking:
     @pytest.fixture(scope="class")
     def block(self, grid):
         # the rows estimate_batch bounds and scores as one block
-        block = grid._block_shape(np.empty((1, 17), dtype=complex))[1]
+        block = grid.block_rows
         assert block > 2
         return block
 
@@ -344,7 +344,7 @@ class TestEstimateBatchBlocking:
         # all-zero rows keep every cell, so a block is scored in parts of the
         # rows whose whole grid fits the scratch (33 at 0.05 deg); k parts
         # and one such row leave a one-row part, scored as two identical rows
-        budget = grid._block_shape(np.empty((1, 17), dtype=complex))[0]
+        budget = grid._block_shape(np.dtype(complex).itemsize)[0]
         part = budget // grid._slot_norms2.size
         assert part > 2
         for n in (part + 1, 2 * part + 1):
@@ -708,17 +708,17 @@ def _node_amplitudes(grid, ys):
 
 def _worst_residual_frames(grid):
     # one frame per cell, along the largest residual of its stretched
-    # columns' unit responses from the chord between its nodes' (a column
-    # past a node: from that node's), where the cell's bound is nearly tight:
-    # their worst columns reach 0.9986 of it at 0.05 deg, and on the norm-dip
-    # grid a reach 1% too small no longer covers them
+    # columns' unit responses from the chord between its nodes' (the column
+    # before its first node: from that node's), where the cell's bound is
+    # nearly tight: their worst columns reach 0.9993 of it at 0.05 deg, and
+    # on the norm-dip grid a reach 1% too small no longer covers them
     g = len(grid.angles_deg)
     responses, norms = _responses(grid), np.sqrt(_norms2(grid))[:, None]
     unit = np.divide(responses, norms, out=np.zeros_like(responses), where=norms > 0.0)
     nodes = _nodes(g)
     frames = []
     for a, b in zip(nodes[:-1], nodes[1:]):
-        cols = np.arange(max(a - 1, 0), min(b + 1, g - 1) + 1)
+        cols = np.arange(max(a - 1, 0), b + 1)
         t = np.clip((cols - a) / (b - a), 0.0, 1.0)[:, None]
         residual = unit[cols] - (1.0 - t) * unit[a] - t * unit[b]
         frames.append(residual[np.argmax(np.linalg.norm(residual, axis=1))])
@@ -728,7 +728,7 @@ def _worst_residual_frames(grid):
 class TestCellBoundSoundness:
     # the theory the pruning rests on, checked against float64 amplitudes:
     # for every cell, |zh^H y| / ||y|| at each column from one before its
-    # first node to one past its second, plus whatever the row's float32
+    # first node to its second, plus whatever the row's float32
     # best node overstates the float64 one by, is at most the cell's float32
     # bound, so a cell whose bound lies below the best node cannot hold the
     # row's largest amplitude
@@ -742,7 +742,7 @@ class TestCellBoundSoundness:
         nodes = _nodes(len(grid.angles_deg))
         excess = np.maximum(best - amp[:, nodes].max(axis=1), 0.0)
         for c, (a, b) in enumerate(zip(nodes[:-1], nodes[1:])):
-            worst = amp[:, max(a - 1, 0) : b + 2].max(axis=1) + excess
+            worst = amp[:, max(a - 1, 0) : b + 1].max(axis=1) + excess
             assert np.all(worst <= bound[:, c]), (c, np.max(worst - bound[:, c]))
 
     @pytest.mark.parametrize("step", [0.05, 1.0])
@@ -799,6 +799,25 @@ class TestCellBoundSoundness:
             reach = np.max(np.linalg.norm(zh[cols] - (1.0 - t) * zh[a] - t * zh[b], axis=1))
             assert grid._cell_reach[c] >= reach + 2.0 * eta, c
 
+    @pytest.mark.parametrize("grid_of", ["0.05", "1.0", "dip"])
+    def test_argmin_on_a_cells_first_or_last_column(self, setup, grid_of):
+        # frames along the response of a cell's node a or of its last scored
+        # column b - 1, where the argmin's left or right neighbour lies in the
+        # next cell over, which the search must keep: on the default and a
+        # coarse grid, and on the norm-dip grid of
+        # test_matches_dense_search_beside_a_norm_dip
+        if grid_of == "dip":
+            sched = ProbeSchedule([0.0, 90.0], [[1.0, 1.0], [1.0, -1.0]])
+            grid = ResponseGrid(sched, PilotSequence([1e-3, np.sqrt(1.0 - 1e-6)]), 90.0 / 1792)
+        else:
+            grid = ResponseGrid(*setup[:2], float(grid_of))
+        nodes = _nodes(len(grid.angles_deg))[1:-1]
+        cols = np.r_[nodes, nodes - 1]
+        rng = np.random.default_rng(len(cols))
+        ys = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(cols)))[:, None] * _responses(grid)[cols]
+        assert np.array_equal(np.argmin(grid.costs_batch(ys), axis=1), cols)
+        assert np.array_equal(grid.estimate_batch(ys), _dense_estimates(grid, ys))
+
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_two_antenna_grids(self, eps):
         # the zero-norm grid of test_zero_norm_columns (eps = 0) and the
@@ -821,7 +840,7 @@ def test_estimate_batch_scratch_stays_within_budget(setup, step):
     # noise-only frames (several blocks) at the default step
     sched, pilots, cfg = setup
     grid = ResponseGrid(sched, pilots, step)
-    n = 512 if step == 0.05 else 2 * grid._block_shape(np.empty((1, 17), dtype=complex))[1] + 1
+    n = 512 if step == 0.05 else 2 * grid.block_rows + 1
     rng = np.random.default_rng(98)
     signal = received_signal(sched, NodeGeometry(10.0, 20.0), pilots, cfg)
     batches = [

@@ -8,8 +8,9 @@ from aoa_auth import (
     run_cost_curve_experiment,
     run_rmse_sweep,
 )
-from aoa_auth import harness
+from aoa_auth import NodeGeometry, ResponseGrid, harness
 from aoa_auth.config import ConfigError
+from aoa_auth.metrics import rmse
 
 
 def small_scenario(**overrides):
@@ -245,6 +246,74 @@ class TestRmseSweep:
     def test_rejects_invalid_scenario(self):
         with pytest.raises(ConfigError):
             run_rmse_sweep(small_scenario(trials=0))
+
+
+class TestRmseSweepGrouping:
+    # run_rmse_sweep estimates consecutive points of one attacker angle in
+    # one call of at most a block of frames; its rows must be those of
+    # estimating every point alone, from the same streams
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        s = small_scenario()
+        return ResponseGrid(s.schedule(), s.alice_pilots(), s.grid_step_deg).block_rows
+
+    @staticmethod
+    def per_point(s):
+        # each point's frames and its RMSE, estimated alone
+        schedule = s.schedule()
+        grid = ResponseGrid(schedule, s.alice_pilots(), s.grid_step_deg)
+        trials = np.arange(s.trials, dtype=np.uint32)
+        points = []
+        for theta_e in s.eve_aoas_deg:
+            pilots, _ = harness.eve_pilots(s, schedule, s.attack_kind(), theta_e)
+            for d_e in s.eve_distances_m:
+                streams = harness._streams(harness._entropy(s.master_seed, "rmse", s.attack, theta_e, d_e), trials)
+                ys = harness._frames(s, schedule, NodeGeometry(d_e, theta_e), pilots, s.trials, streams)
+                points.append((theta_e, ys, rmse(grid.estimate_batch(ys), s.alice_aoa_deg)))
+        return points
+
+    @pytest.mark.parametrize(
+        "blocks, extra, angles, distances",
+        [
+            (0, 1, [20.0, 45.0], [10.0, 100.0, 1000.0, 2000.0]),
+            (0, 2, [20.0, 45.0, 60.0], [10.0, 100.0, 1000.0]),
+            (0, 2, [45.0], [10.0]),
+            (0, 175, [20.0, 45.0], [10.0, 100.0, 1000.0, 2000.0]),
+            (1, -1, [20.0, 45.0], [10.0, 100.0]),
+            (1, 0, [20.0, 45.0], [10.0, 100.0]),
+            (1, 1, [20.0, 45.0], [10.0, 1000.0]),
+            (2, 1, [45.0, 20.0], [10.0, 100.0]),
+        ],
+    )
+    def test_rows_match_points_estimated_alone(self, monkeypatch, block, blocks, extra, angles, distances):
+        s = small_scenario(attack="code-based", trials=blocks * block + extra,
+                           eve_aoas_deg=angles, eve_distances_m=distances)
+        points = self.per_point(s)
+        calls = []
+        estimate_batch = ResponseGrid.estimate_batch
+
+        def recording(grid, ys):
+            calls.append(ys.copy())
+            return estimate_batch(grid, ys)
+
+        monkeypatch.setattr(ResponseGrid, "estimate_batch", recording)
+        rows = run_rmse_sweep(s)
+        assert [(r["theta_e_deg"], r["d_e_m"]) for r in rows] == [(a, d) for a in angles for d in distances]
+        assert [r["rmse_deg"] for r in rows] == [point[2] for point in points]
+        # each call holds whole consecutive points of one angle, as many as
+        # a block holds, and at least one
+        per_call = max(1, block // s.trials)
+        assert len(calls) == len(angles) * -(-len(distances) // per_call)
+        at = 0
+        for ys in calls:
+            k = len(ys) // s.trials
+            assert 1 <= k <= per_call and len(ys) == k * s.trials
+            assert len(ys) <= block or k == 1
+            assert len({point[0] for point in points[at : at + k]}) == 1
+            assert np.array_equal(ys, np.concatenate([point[1] for point in points[at : at + k]]))
+            at += k
+        assert at == len(points)
 
 
 class TestAuthSweep:
