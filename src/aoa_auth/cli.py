@@ -62,6 +62,8 @@ def _check_position(args) -> None:
 
 def _load_scenario(args) -> Scenario:
     _check_position(args)
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers!r}")
     scenario = Scenario.from_file(args.config) if args.config else Scenario()
     for flag, name in _OVERRIDES.items():
         value = getattr(args, flag, None)
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("auth-sweep", help="authentication accuracy/P_MD versus attacker distance/angle")
     _add_common(p, out=True)
     p.add_argument("--attack", choices=[k.value for k in AttackKind], help="attack under test")
-    p.add_argument("--workers", type=int, default=1, metavar="N", help="parallel workers (never changes results)")
+    p.add_argument("--workers", type=int, default=1, metavar="N", help="parallel workers, at most one per repetition (never changes results)")
 
     p = sub.add_parser("estimate", help="single-shot angle estimate for one synthesized frame")
     _add_common(p)

@@ -147,18 +147,21 @@ class Scenario:
                     f"{theta_e!r} toward alice_aoa_deg {self.alice_aoa_deg!r} fails: {e}"
                 ) from None
             senders.append(("eve_distances_m", NodeGeometry(min(self.eve_distances_m), theta_e), pilots))
-        # The link budget: every command refuses a frame whose amplitude or
-        # energy is not finite.  Energy falls as 1/d^2, so Eve is checked at
-        # her nearest distance; random pilots have the moduli of Alice's,
-        # which stand in for them, so no stream is drawn.
+        # The link budget: every command refuses a frame whose amplitude is
+        # not finite or whose ||y||^2 exceeds the estimator's float_max /
+        # (2 max ||z||^2), and ||z||^2 <= N^2 on every grid (|w_t^H a| <= N,
+        # unit-energy pilots).  Energy falls as 1/d^2, so Eve is checked at her
+        # nearest distance; random pilots have the moduli of Alice's, which
+        # stand in for them, so no stream is drawn.
+        max_energy = sys.float_info.max / (2.0 * self.num_antennas**2)
         with np.errstate(over="ignore"):
             for name, geometry, pilots in senders:
                 try:
                     energy = np.sum(np.abs(received_signal(schedule, geometry, pilots, config)) ** 2)
                 except ValueError as e:
                     raise ConfigError(str(e).replace("distance_m", name)) from None
-                if not np.isfinite(energy):
-                    raise ConfigError(f"{name} {geometry.distance_m!r} at {geometry.aoa_deg!r} deg gives noiseless frame energy {float(energy)!r}")
+                if not energy <= max_energy:
+                    raise ConfigError(f"{name} {geometry.distance_m!r} at {geometry.aoa_deg!r} deg gives noiseless frame energy {float(energy)!r}, above {max_energy!r}")
 
     # typed views consumed by the simulator ------------------------------
 

@@ -16,6 +16,7 @@ results are reproducible byte-for-byte and independent of worker count.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -300,6 +301,7 @@ def run_auth_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
     # one grid serves every repetition; it holds no scratch state
     grid = ResponseGrid(scenario.schedule(), scenario.alice_pilots(), scenario.grid_step_deg)
     reps = range(scenario.repetitions)
+    workers = min(workers, len(reps))  # the pool forks them all at its first task
     if workers > 1:
         # imported here: the pool's modules take 18-28 ms to import at start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -339,10 +341,9 @@ def run_auth_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
 # output layout
 
 
-def _openblas_core() -> str | None:
-    """The kernel the OpenBLAS bundled with numpy picked for this CPU, if
-    numpy bundles one; the sweeps' bits depend on it."""
-    import ctypes
+def _openblas(name: str, restype):
+    """``openblas_<name>()`` of the OpenBLAS bundled with numpy, or None if
+    numpy bundles none."""
     import glob
 
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
@@ -351,18 +352,21 @@ def _openblas_core() -> str | None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                       "openblas_get_corename64_", "openblas_get_corename"):
+        for symbol in (f"scipy_openblas_{name}64_", f"scipy_openblas_{name}",
+                       f"openblas_{name}64_", f"openblas_{name}"):
             fn = getattr(lib, symbol, None)
             if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_char_p
-                return fn().decode()
+                fn.argtypes, fn.restype = [], restype
+                return fn()
     return None
 
 
 def write_manifest(out_dir, scenario: Scenario, experiment: str) -> None:
     import platform
 
+    from . import __version__
+
+    core = _openblas("get_corename", ctypes.c_char_p)
     try:  # numpy 1.24 has no "dicts" mode
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -376,7 +380,10 @@ def write_manifest(out_dir, scenario: Scenario, experiment: str) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            "openblas_core": _openblas_core(),
+            "aoa_auth": __version__,
+            # the kernel OpenBLAS picked for this CPU: the sweeps' bits depend on it
+            "openblas_core": core and core.decode(),
+            "openblas_threads": _openblas("get_num_threads", ctypes.c_int),
         },
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:

@@ -27,9 +27,6 @@ MEDIAN_HEURISTIC = "median-heuristic"
 GAMMA_FLOOR_DEG2 = 0.0025
 # kernel rows per block of the initial gradient
 _GRAD_ROWS = 64
-# the median heuristic gathers at most max(4 l, 4096) candidate pairs
-_WINDOW_PER_SAMPLE = 4
-_WINDOW_MIN = 4096
 # selection passes before every other pass bisects
 _FREE_PASSES = 8
 
@@ -96,11 +93,11 @@ def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
     # (x_b - x_a)^2 has the bits of (x_a - x_b)^2, so the sorted samples give
     # the same squared distances.  Squaring is monotone on differences >= 0,
     # so the middle squares are the squares of the middle differences, and
-    # np.median of them is the mean of the two (or the one) middle values.
+    # their mean is np.median's value, without its NaN check (numpy.ma).
     # Samples near the float range can overflow a difference, a square or
     # x + t to inf, which still orders and counts correctly.
     with np.errstate(over="ignore"):
-        m = float(np.median(np.square(_middle_differences(np.sort(x)))))
+        m = float(np.mean(np.square(_middle_differences(np.sort(x)))))
     spread = max(m, floor_deg2)
     gamma = 1.0 / (2.0 * spread) if spread > 0.0 else math.inf
     if not 0.0 < gamma < math.inf:
@@ -116,38 +113,30 @@ def _middle_differences(x: np.ndarray) -> list[float]:
 
     Row i of the pairs is non-decreasing in j, so the pairs with d_ij <= t
     are a prefix of every row, and one ``searchsorted`` pass counts them.
-    Passes narrow a window of values, from the smallest to the largest
-    difference between two counts that bracket the middle ranks, by
+    Passes narrow a window of values [lo, hi] that holds the middle ranks by
     Illinois-style interpolation on the count, starting from the median
     difference of a subsample of about 64 samples.  After ``_FREE_PASSES``
     passes every other one bisects the window's float64 bit patterns (63
     bits for values >= 0), so no input takes more than 8 + 2 x 63 passes.
-    The search ends in one of three ways, none holding more than O(l)
-    values:
-    - at most max(4 l, 4096) pairs lie in the window: they are gathered and
-      partitioned;
-    - the window holds one value (tied, quantized or duplicated samples);
-    - a probe's count falls between the two middle ranks: they are the
-      largest difference within the probe and the smallest beyond it.
+    The search ends when the window holds one value (tied, quantized or
+    duplicated samples), or when a probe's count falls between the two
+    middle ranks: they are the largest difference within the probe and the
+    smallest beyond it.
     """
     l = len(x)
     n = l * (l - 1) // 2
     ranks = [(n - 1) // 2] if n % 2 else [n // 2 - 1, n // 2]
     xp = np.append(x, np.inf)  # xp[l] ends every row
-    starts = l * (l + 1) // 2  # sum over the rows of i + 1, an empty row's end
-    # each side of the window: pairs counted, row ends, and its end value
+    # the window's ends: the smallest and largest differences
     # (0.0 - -0.0 is -0.0, whose bit pattern is negative; + 0.0 makes it 0.0)
-    c_lo, e_lo, lo = 0, np.arange(1, l + 1), float(np.min(x[1:] - x[:-1])) + 0.0
-    c_hi, e_hi, hi = n, np.full(l, l), float(x[-1] - x[0])
+    lo, hi = float(np.min(x[1:] - x[:-1])) + 0.0, float(x[-1] - x[0])
     # Illinois weights: the count's distance from the middle at each side
     target = ranks[0] + 0.5
-    f_lo, f_hi = c_lo - target, c_hi - target
+    f_lo, f_hi = -target, n - target
     side = passes = 0
-    while c_hi - c_lo > max(_WINDOW_PER_SAMPLE * l, _WINDOW_MIN):
-        if lo == hi:
-            return [lo] * len(ranks)
+    while lo < hi:
         if passes == 0:
-            s = x[:: l // 64]
+            s = x[:: max(1, l // 64)]
             d = np.abs(s[:, None] - s[None, :]).ravel()
             # d holds each pair twice and len(s) zeros
             k = len(s) + len(s) * (len(s) - 1) // 2
@@ -157,36 +146,28 @@ def _middle_differences(x: np.ndarray) -> list[float]:
         if (passes >= _FREE_PASSES and passes % 2) or not lo <= t < hi:
             t = _bit_midpoint(lo, hi)
         passes += 1
-        e, beyond, within = _row_ends(x, xp, t)
-        c = int(e.sum()) - starts
+        c, beyond, within = _row_ends(x, xp, t)
         if c <= ranks[0]:
-            c_lo, e_lo, lo, f_lo = c, e, beyond, c - target
+            lo, f_lo = beyond, c - target
             if side < 0:
                 f_hi /= 2.0
             side = -1
         elif c > ranks[-1]:
-            c_hi, e_hi, hi, f_hi = c, e, within, c - target
+            hi, f_hi = within, c - target
             if side > 0:
                 f_lo /= 2.0
             side = 1
         else:
             # c = ranks[0] + 1 = ranks[1]: the two middle ranks straddle t
             return [within, beyond]
-    lens = e_hi - e_lo
-    first = np.cumsum(lens)
-    first -= lens
-    j = np.arange(c_hi - c_lo)
-    j += np.repeat(e_lo - first, lens)
-    window = x[j]
-    window -= np.repeat(x, lens)
-    window.partition([r - c_lo for r in ranks])
-    return [float(window[r - c_lo]) for r in ranks]
+    return [lo] * len(ranks)
 
 
 def _row_ends(x: np.ndarray, xp: np.ndarray, t: float):
-    """For each row i, the end e_i of its pairs with fl(x_j - x_i) <= t
-    (i < j < e_i); and the smallest difference beyond t and the largest
-    within it (0 when no pair is within)."""
+    """The number of pairs with fl(x_j - x_i) <= t; and the smallest
+    difference beyond t and the largest within it (0 when no pair is
+    within)."""
+    # e_i ends row i's pairs within t (i < j < e_i)
     e = np.searchsorted(x, x + t, side="right")
     beyond = xp[e] - x
     within = x[e - 1] - x
@@ -207,7 +188,9 @@ def _row_ends(x: np.ndarray, xp: np.ndarray, t: float):
         e[bad] = a
         beyond[bad] = xp[a] - xi
         within[bad] = x[a - 1] - xi
-    return e, float(beyond.min()), float(within.max())
+    # row i holds e_i - (i + 1) pairs
+    l = len(x)
+    return int(e.sum()) - l * (l + 1) // 2, float(beyond.min()), float(within.max())
 
 
 def _bit_midpoint(lo: float, hi: float) -> float:

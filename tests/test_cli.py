@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aoa_auth
 from aoa_auth.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from aoa_auth.config import DEFAULT_EVE_AOAS_DEG, DEFAULT_EVE_DISTANCES_M, Scenario
 
@@ -233,11 +234,14 @@ class TestCostCurve:
         assert len(manifest["config_hash"]) == 64
         # what the run's bits depend on, and no timings
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "blas", "openblas_core"}
+        assert set(env) == {"python", "numpy", "blas", "aoa_auth", "openblas_core", "openblas_threads"}
         assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        assert env["aoa_auth"] == aoa_auth.__version__
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
         assert env["openblas_core"] is None or env["openblas_core"].strip()
+        assert (env["openblas_core"] is None) == (env["openblas_threads"] is None)
+        assert env["openblas_threads"] is None or env["openblas_threads"] >= 1
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -293,11 +297,17 @@ class TestRefusedFrames:
         ("eve_distances_m", [1e-300], "noiseless frame energy inf"),
         # refused although the RMSE sweep, which sends no Alice frames, ran
         ("alice_distance_m", 1e-300, "noiseless frame energy inf"),
+        # finite energies above float_max / (2 N^2) = 3.5e305, which the
+        # estimator refused as "not finite or too large": ||y||^2 = 1.7e306
+        # in the auth sweep and `estimate`, 2.1e306 in the RMSE sweep
+        ("alice_distance_m", 3e-156, "noiseless frame energy 1.7056902447645723e+306, above 3.5"),
+        ("eve_distances_m", [5e-157], "noiseless frame energy 2.0639394947251413e+306, above 3.5"),
     ],
 )
 def test_link_budget_that_no_sweep_can_run_is_config_error(tmp_path, capsys, field, value, message):
-    # these validated, and then both sweeps exited 3 on their first frame,
-    # but for the RMSE sweep with Alice 1e-300 m away
+    # these validated, and then both sweeps (or, with Alice too close, the
+    # auth sweep) exited 3 on their first frame, but for the RMSE sweep with
+    # Alice 1e-300 m away
     cfg = write_config(tmp_path, **{field: value})
     assert main(["validate-config", "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -331,6 +341,16 @@ def test_attack_that_cannot_normalize_is_config_error(tmp_path, capsys, override
         assert not out.exists()
     # random pilots need no beam toward Alice
     assert main(["validate-config", "--config", write_config(tmp_path, **{**overrides, "attack": "random"})]) == EXIT_OK
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_are_config_error(tmp_path, capsys, workers):
+    # they ran the sweep serially; a count above the repetitions is clamped
+    # by run_auth_sweep
+    out = tmp_path / "out"
+    assert main(["auth-sweep", "--config", write_config(tmp_path), "--out", str(out), "--workers", workers]) == EXIT_CONFIG
+    assert f"--workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestSweeps:

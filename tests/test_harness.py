@@ -323,6 +323,33 @@ class TestAuthSweep:
         rows2 = run_auth_sweep(s, workers=2)
         assert rows1 == rows2
 
+    @pytest.mark.parametrize("workers, pool", [(100_000, 3), (3, 3), (2, 2), (1, None), (0, None), (-5, None)])
+    def test_pool_holds_at_most_one_worker_per_repetition(self, monkeypatch, workers, pool):
+        # the fork start method forks all max_workers children at the first
+        # submit, so a pool is never started for real here: a fake records
+        # its size and maps serially
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        s = small_scenario(repetitions=3, train_size=50, test_size=50, eve_distances_m=[10.0])
+        assert run_auth_sweep(s, workers=workers) == run_auth_sweep(s)
+        assert sizes == ([] if pool is None else [pool])
+
     def test_p_fa_shared_across_sweep_points(self):
         # one verifier per repetition serves every sweep point, so the
         # false-alarm rate cannot depend on the attacker's position

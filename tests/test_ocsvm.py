@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aoa_auth import OcsvmParams, train
+from aoa_auth import OcsvmParams, ocsvm, train
 from aoa_auth.ocsvm import (
     GAMMA_FLOOR_DEG2,
     MEDIAN_HEURISTIC,
@@ -16,12 +16,13 @@ from aoa_auth.ocsvm import (
 
 from oracles import dual_objective, projected_gradient_ocsvm
 from oracles import reference_median_gamma as _reference_median_gamma
+from test_cli import run_fresh
 
 
 def _traced_peak(fn, *args):
     """fn(*args) and its tracemalloc peak in bytes, after one untraced call:
-    a first call can import numpy modules lazily (np.median imports numpy.ma,
-    about 1.1 MiB), which tracemalloc would count."""
+    a first call can import numpy modules lazily, which tracemalloc would
+    count."""
     fn(*args)
     tracemalloc.start()
     try:
@@ -168,6 +169,49 @@ class TestMedianHeuristic:
         with np.errstate(over="ignore"):
             expected = _reference_median_gamma(x, 1e-12)
         assert median_heuristic_gamma(x, 1e-12) == expected
+
+    @pytest.mark.parametrize("kind", ["float-range", "far-clusters", "one-untied", "normal"])
+    def test_search_passes_stay_bounded(self, monkeypatch, kind):
+        # every other pass after the first 8 bisects the window's 63-bit
+        # patterns; l < 64 takes the whole sample as its starting subsample
+        calls = []
+        row_ends = ocsvm._row_ends
+        monkeypatch.setattr(ocsvm, "_row_ends", lambda *args: calls.append(1) or row_ends(*args))
+        rng = np.random.default_rng(24)
+        for l in range(2, 71):
+            if kind == "float-range":
+                x = np.ldexp(rng.choice([-1.0, 1.0], l), rng.integers(-1074, 1024, l))
+            elif kind == "far-clusters":
+                x = np.concatenate([rng.normal(-1e10, 1e-3, l // 2), rng.normal(1e10, 1e-3, l - l // 2)])
+            elif kind == "one-untied":
+                x = np.append(np.full(l - 1, 3.0), 3.0 + 2.0**-20)
+            else:
+                x = rng.normal(0.0, 1.0, l)
+            calls.clear()
+            with np.errstate(over="ignore"):
+                expected = _reference_median_gamma(x, 1e-12)
+            if 0.0 < expected < np.inf:
+                assert median_heuristic_gamma(x, 1e-12) == expected
+            else:
+                # differences or squares overflow, and gamma would be 0
+                with pytest.raises(ValueError, match="leave gamma 0"):
+                    median_heuristic_gamma(x, 1e-12)
+            assert len(calls) <= 8 + 2 * 63, l
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.median would import it (about 1.1 MiB) for a NaN check
+        run = run_fresh("-c", "\n".join([
+            "import sys, numpy as np",
+            "from aoa_auth import Scenario, run_auth_sweep",
+            "from aoa_auth.ocsvm import median_heuristic_gamma",
+            "median_heuristic_gamma(np.random.default_rng(0).normal(0.0, 1.0, 1000), 1e-6)",
+            "print('numpy.ma' in sys.modules)",
+            "run_auth_sweep(Scenario(eve_aoas_deg=[45.0], eve_distances_m=[10.0], trials=20,"
+            " train_size=100, test_size=100, repetitions=2, grid_step_deg=0.25))",
+            "print('numpy.ma' in sys.modules)",
+        ]))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["False", "False"]
 
     def test_rejects_spread_that_leaves_gamma_zero(self):
         # differences that overflow make the median squared distance inf,
