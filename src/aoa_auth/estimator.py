@@ -43,7 +43,8 @@ _MAX_GRID_BYTES = 1 << 29
 # gathered rows (526 rows at 0.05 deg), the rest at 32 bytes a kept entry,
 # in whole grid rows (33 at 0.05 deg), for a part's products and costs (24)
 # and index tables (under 8); a block's coarse pass runs first in the products'
-# and costs' memory, 12 bytes a row and node (1.4 MB at 0.05 deg)
+# and costs' memory, 12 bytes a row and node (1.4 MB at 0.05 deg).  A call
+# with a window adds a second keep table and block of rows (256 KiB).
 _BLOCK_BYTES = 4 << 20
 # Columns per pruning cell.  OpenBLAS's zgemm (0.3.31, SkylakeX kernel) gives
 # every column of ys @ R[:, a:b] the bits of the full product when a is a
@@ -379,7 +380,7 @@ class ResponseGrid:
         at once (526 at 0.05 deg): a batch of at most this many is one block."""
         return self._block_shape(np.dtype(complex).itemsize)[1]
 
-    def estimate_batch(self, ys: np.ndarray) -> np.ndarray:
+    def estimate_batch(self, ys: np.ndarray, within=None) -> np.ndarray:
         """Refined angle estimates for a batch of observations: the grid
         argmin (lowest angle wins ties) plus one parabolic refinement.
 
@@ -389,6 +390,12 @@ class ResponseGrid:
         with the bits of the dense costs there, so that its argmin and the
         argmin's neighbours are the dense ones.  Rows are bounded a block at
         a time, then scored in parts of whole rows whose kept cells fit.
+
+        With a window ``within`` = (lo, hi) in degrees, a row whose own kept
+        cells hold no column within one grid step of the window is NaN and
+        is not searched: its argmin lies in a kept cell and the refinement
+        moves it by at most half a step, so its angle lies outside the
+        window.  Every other row has the bits it has without a window.
         """
         n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._cell_reach)
         total = self._energy(ys)
@@ -401,13 +408,31 @@ class ResponseGrid:
         picked = np.empty((max(2, len(keep)), ys.shape[1]), dtype=ys.dtype)
         unit = np.empty((len(keep), ys.shape[1]), dtype=np.complex64)
         out = np.empty(n)
+        if within is not None:
+            # the slots holding a column within one step of the window, and
+            # scratch for a block's rows that keep any of them
+            step = self.step_deg
+            j0 = int(np.searchsorted(self.angles_deg, within[0] - step))
+            j1 = int(np.searchsorted(self.angles_deg, within[1] + step, side="right"))
+            near = slice(j0 // w, -(-j1 // w)) if j0 < j1 else slice(0, 0)
+            live_keep, live_ys = np.empty_like(keep), np.empty_like(picked[: len(keep)])
         for lo in range(0, n, block):
             rows = min(n - lo, block)
-            kept = keep[:rows]
-            bound, best = self._bounds(ys[lo : lo + rows], total[lo : lo + rows], prod, buf, unit)
+            kept, part, part_total = keep[:rows], ys[lo : lo + rows], total[lo : lo + rows]
+            bound, best = self._bounds(part, part_total, prod, buf, unit)
             np.greater_equal(bound, best[:, None], out=kept[:, :cells])
             # slots past the last cell follow it
             kept[:, cells:] = kept[:, cells - 1 : cells]
+            at = np.arange(lo, lo + rows)
+            if within is not None:
+                live = np.any(kept[:, near], axis=1)
+                out[at[~live]] = np.nan
+                if not live.all():
+                    idx = np.flatnonzero(live)
+                    at, rows = at[idx], len(idx)
+                    kept = np.take(kept, idx, axis=0, out=live_keep[:rows], mode="clip")
+                    part = np.take(part, idx, axis=0, out=live_ys[:rows], mode="clip")
+                    part_total = part_total[idx]
             union = np.any(kept, axis=0)
             if rows * np.count_nonzero(union) <= _UNION_SCORE * np.count_nonzero(kept):
                 kept[:] = union
@@ -416,6 +441,6 @@ class ResponseGrid:
             a = 0
             while a < rows:
                 b = max(a + 1, int(np.searchsorted(ends, ends[a] + budget // w, side="right")) - 1)
-                out[lo + a : lo + b] = self._search(ys[lo + a : lo + b], kept[a:b], total[lo + a : lo + b], prod, buf, picked)
+                out[at[a:b]] = self._search(part[a:b], kept[a:b], part_total[a:b], prod, buf, picked)
                 a = b
         return out

@@ -266,16 +266,24 @@ def _auth_repetition(scenario: Scenario, grid: ResponseGrid, rep: int):
     def stream(*labels):
         return derive_trial_rng(scenario.master_seed, "auth", rep, *labels)
 
-    def estimates(geometry, pilots, count, *labels):
-        frames = _frames(scenario, schedule, geometry, pilots, count, stream(*labels))
-        return grid.estimate_batch(frames)
+    def frames(geometry, pilots, count, *labels):
+        return _frames(scenario, schedule, geometry, pilots, count, stream(*labels))
 
-    train_thetas = estimates(alice_geom, alice_pilots, scenario.train_size, "train")
+    train_thetas = grid.estimate_batch(frames(alice_geom, alice_pilots, scenario.train_size, "train"))
     model = ocsvm.train(train_thetas, scenario.ocsvm_params())
+    window = model.acceptance_window()
 
-    alice_thetas = estimates(alice_geom, alice_pilots, half, "alice-test")
+    def accepted(geometry, pilots, *labels):
+        # a test frame whose estimate cannot land in the window is NaN, and
+        # rejected without a decision
+        thetas = grid.estimate_batch(frames(geometry, pilots, half, *labels), window)
+        live = ~np.isnan(thetas)
+        accept = np.zeros(half, dtype=bool)
+        accept[live] = model.decision(thetas[live]) > 0.0
+        return accept
+
     alice_counts = ConfusionCounts.from_decisions(
-        model.decision(alice_thetas) > 0.0, legitimate=True
+        accepted(alice_geom, alice_pilots, "alice-test"), legitimate=True
     )
 
     kind = scenario.attack_kind()
@@ -283,10 +291,8 @@ def _auth_repetition(scenario: Scenario, grid: ResponseGrid, rep: int):
     for theta_e in scenario.eve_aoas_deg:
         pilots, _ = eve_pilots(scenario, schedule, kind, theta_e, stream("attack", theta_e))
         for d_e in scenario.eve_distances_m:
-            geometry = NodeGeometry(d_e, theta_e)
-            eve_thetas = estimates(geometry, pilots, half, "eve", theta_e, d_e)
             eve_counts[(theta_e, d_e)] = ConfusionCounts.from_decisions(
-                model.decision(eve_thetas) > 0.0, legitimate=False
+                accepted(NodeGeometry(d_e, theta_e), pilots, "eve", theta_e, d_e), legitimate=False
             )
     return alice_counts, eve_counts
 

@@ -223,6 +223,21 @@ class OcsvmModel:
         k = kernel(x[..., None], self.support_points, self.gamma)
         return k @ self.alphas - self.rho
 
+    def acceptance_window(self) -> tuple[float, float] | None:
+        """The window [min(sv) - D, max(sv) + D] of support angles sv outside
+        which ``decision`` is negative, or None when rho <= 0.
+
+        With D = sqrt(max(ln(2 / rho), 0) / gamma), a point farther than D
+        from every support angle has every kernel term at most rho / 2, and
+        the weights sum to 1, so f(x) <= -rho / 2: a margin far beyond the
+        rounding of f, which holds on the window's own ends too.  D is
+        infinite where 2 / rho overflows.
+        """
+        if not self.rho > 0.0:
+            return None
+        reach = math.sqrt(max(math.log(2.0 / self.rho), 0.0) / self.gamma)
+        return float(np.min(self.support_points)) - reach, float(np.max(self.support_points)) + reach
+
 
 def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     """Fit the nu-one-class SVM dual by SMO and set rho from margin support

@@ -671,6 +671,79 @@ class TestPrunedSearchExact:
         assert np.array_equal(grid.estimate_batch(ys), _chunked_dense_estimates(grid, ys))
 
 
+def _within_frames(setup, grid, seed):
+    # noise only, Alice-like signals at 10 m and 300 m (near 0, 30 and
+    # +-90 deg among them), code-based attack frames with two cost minima,
+    # all-zero frames (they keep every cell) and the mix of _frames
+    sched, pilots, cfg = setup
+    rng = np.random.default_rng(seed)
+    sigma2 = noise_variance(cfg)
+    groups = [synthesize_observation(np.zeros(17, dtype=complex), sigma2, 300, rng), np.zeros((20, 17), dtype=complex)]
+    for theta in np.r_[0.0, 0.02, 30.0, 89.5, -89.5, -89.98, 89.98, rng.uniform(-89.0, 89.0, 8)]:
+        for dist in (10.0, 300.0):
+            groups.append(synthesize_observation(received_signal(sched, NodeGeometry(dist, theta), pilots, cfg), sigma2, 20, rng))
+    for theta in (-60.0, 30.0, 45.0):
+        attack, _ = code_based_attack(AttackContext(sched, pilots, 0.0, theta))
+        groups.append(synthesize_observation(received_signal(sched, NodeGeometry(10.0, theta), attack, cfg), sigma2, 40, rng))
+    groups.append(_frames(grid, 200, seed))
+    return rng.permutation(np.concatenate(groups))
+
+
+class TestEstimateWithinWindow:
+    # with a window, a row is NaN only where the plain search's angle cannot
+    # lie in it; every other row keeps its plain bits
+
+    @staticmethod
+    def check(grid, ys, within):
+        plain = grid.estimate_batch(ys)
+        got = grid.estimate_batch(ys, within)
+        dead = np.isnan(got)
+        assert np.array_equal(got[~dead], plain[~dead])
+        # a NaN row's dense argmin lies more than one step outside the
+        # window, so its refined angle more than half a step
+        step, lo, hi = grid.step_deg, *within
+        gone = ys[dead]
+        cols = [np.argmin(grid.costs_batch(gone[k : k + 256]), axis=1) for k in range(0, len(gone), 256)]
+        argmin = grid.angles_deg[np.concatenate([np.zeros(0, dtype=int), *cols])]
+        assert np.all((argmin < lo - step) | (argmin > hi + step))
+        assert np.all((plain[dead] < lo - step / 2) | (plain[dead] > hi + step / 2))
+        # all-zero rows keep every cell
+        assert not np.any(dead & np.all(ys == 0.0, axis=1))
+        return np.count_nonzero(dead)
+
+    # the auth-lba verifier's window, one about a signal angle, windows
+    # touching +-90 deg, one past the grid's end
+    WINDOWS = [(-0.078, 0.078), (29.5, 30.5), (85.0, 90.0), (-90.0, -87.0), (89.99, 95.0), (-95.0, -89.97)]
+
+    @pytest.mark.parametrize("step", [0.05, 1.0])
+    def test_rows_are_plain_or_outside_the_window(self, setup, step):
+        grid = ResponseGrid(*setup[:2], step)
+        ys = _within_frames(setup, grid, 40)
+        assert len(ys) > grid.block_rows
+        dead = []
+        for within in self.WINDOWS:
+            dead.append(self.check(grid, ys, within))
+            # a lone frame of every kind (a block's first row) and a small batch
+            for k in range(0, 40):
+                self.check(grid, ys[k : k + 1], within)
+            self.check(grid, ys[:47], within)
+        # every window decides some frames at 0.05 deg; at 1 deg a cell
+        # spans 16 deg, so a narrow window may leave every frame searched
+        assert max(dead) < len(ys) and (min(dead) if step == 0.05 else max(dead)) > 0, dead
+
+    @pytest.mark.parametrize("within", [(-90.0, 90.0), (-np.inf, np.inf)])
+    def test_window_over_the_whole_grid_leaves_no_nan(self, setup, within):
+        grid = ResponseGrid(*setup[:2])
+        ys = _within_frames(setup, grid, 41)
+        assert np.array_equal(grid.estimate_batch(ys, within), grid.estimate_batch(ys))
+
+    def test_window_past_the_grid_is_all_nan(self, setup):
+        grid = ResponseGrid(*setup[:2])
+        ys = _within_frames(setup, grid, 42)[:600]
+        assert np.all(np.isnan(grid.estimate_batch(ys, (95.0, 100.0))))
+        assert np.all(np.isnan(grid.estimate_batch(ys[:1], (-100.0, -95.0))))
+
+
 def _nodes(g):
     # the pruning nodes: every 16th grid column and the last one
     return np.minimum(np.arange(0, g + _CELL_COLUMNS - 1, _CELL_COLUMNS), g - 1)
@@ -818,6 +891,30 @@ class TestCellBoundSoundness:
         assert np.array_equal(np.argmin(grid.costs_batch(ys), axis=1), cols)
         assert np.array_equal(grid.estimate_batch(ys), _dense_estimates(grid, ys))
 
+    def test_argmin_before_a_two_column_last_cell(self):
+        # A 16j + 2 column grid ends in a two-column cell [a, a + 1], whose
+        # chord is exact, so only the step to column a - 1 gives it a reach.
+        # Frames along zh_{a-1}, plus a part orthogonal to the last three
+        # columns that lifts node a - 16 above nodes a and a + 1: column
+        # a - 1 is the argmin, and its right neighbour a is kept only by the
+        # last cell's bound on column a - 1.  A 64-antenna array gives the
+        # three columns near 90 deg enough contrast.
+        grid = ResponseGrid(ProbeSchedule.uniform(17, 64), PilotSequence.constant(17), 180.0 / 33)
+        g, a = len(grid.angles_deg), 32
+        assert g == 2 * _CELL_COLUMNS + 2
+        zh = _responses(grid) / np.sqrt(_norms2(grid))[:, None]
+        q = np.linalg.qr(zh[a - 1 :].T)[0]
+        lift = zh[a - 16] - q @ (q.conj().T @ zh[a - 16])
+        y = zh[a - 1] + 0.9 * lift
+        amp = np.abs(zh.conj() @ y)
+        assert np.argmax(amp) == a - 1 and amp[a - 16] - max(amp[a], amp[a + 1]) > 0.05
+        rng = np.random.default_rng(11)
+        ys = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 6))[:, None] * np.r_[1.0, 1e-3, 1e3, 1.0, 1.0, 1.0][:, None] * y
+        assert np.all(np.argmin(grid.costs_batch(ys), axis=1) == a - 1)
+        assert np.array_equal(grid.estimate_batch(ys), _dense_estimates(grid, ys))
+        assert np.array_equal(grid.estimate_batch(ys[:1]), _dense_estimates(grid, ys[:1]))
+        self.check(grid, ys)
+
     @pytest.mark.parametrize("eps", [0.0, 1e-3])
     def test_two_antenna_grids(self, eps):
         # the zero-norm grid of test_zero_norm_columns (eps = 0) and the
@@ -837,7 +934,8 @@ def test_estimate_batch_scratch_stays_within_budget(setup, step):
     # frames (all-zero rows keep every cell) take at most 4.5 MiB at the
     # peak, 512 of them at the default step and more than two blocks at
     # the coarse step, whose blocks hold more rows, and so do 3,000
-    # noise-only frames (several blocks) at the default step
+    # noise-only frames (several blocks) at the default step, with or
+    # without a window
     sched, pilots, cfg = setup
     grid = ResponseGrid(sched, pilots, step)
     n = 512 if step == 0.05 else 2 * grid.block_rows + 1
@@ -851,13 +949,14 @@ def test_estimate_batch_scratch_stays_within_budget(setup, step):
     if step == 0.05:
         batches.append(synthesize_observation(0.0 * signal, noise_variance(cfg), 3000, rng))
     for ys in batches:
-        tracemalloc.start()
-        try:
-            grid.estimate_batch(ys)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * 2**20, peak
+        for within in (None, (-0.078, 0.078)):
+            tracemalloc.start()
+            try:
+                grid.estimate_batch(ys, within)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4.5 * 2**20, (within, peak)
 
 
 class TestCramerRaoBound:

@@ -370,3 +370,27 @@ class TestAuthSweep:
         assert near["p_md"] > 0.8
         assert far["p_md"] < near["p_md"]
         assert far["accuracy"] > near["accuracy"]
+
+
+class TestAuthTestFramesDecidedFromTheBound:
+    @pytest.mark.parametrize("seed", [7, 20240])
+    @pytest.mark.parametrize("attack", ["none", "random", "code-based", "location-based"])
+    def test_counts_match_deciding_every_frame(self, monkeypatch, attack, seed):
+        # the reference estimates every test frame in full and decides it
+        s = small_scenario(attack=attack, master_seed=seed, eve_aoas_deg=[30.0, 45.0], repetitions=1)
+        grid = ResponseGrid(s.schedule(), s.alice_pilots(), s.grid_step_deg)
+        plain = ResponseGrid.estimate_batch
+        dead = []
+
+        def spy(self, ys, within=None):
+            out = plain(self, ys, within)
+            if within is not None:
+                dead.append(np.count_nonzero(np.isnan(out)))
+            return out
+
+        monkeypatch.setattr(ResponseGrid, "estimate_batch", spy)
+        got = harness._auth_repetition(s, grid, 0)
+        # Alice's test frames and Eve's at 2 angles and 2 distances
+        assert len(dead) == 5 and sum(dead) > 0
+        monkeypatch.setattr(ResponseGrid, "estimate_batch", lambda self, ys, within=None: plain(self, ys))
+        assert got == harness._auth_repetition(s, grid, 0)

@@ -10,6 +10,7 @@ from aoa_auth.ocsvm import (
     GAMMA_FLOOR_DEG2,
     MEDIAN_HEURISTIC,
     OcsvmConvergenceError,
+    OcsvmModel,
     kernel,
     median_heuristic_gamma,
 )
@@ -147,8 +148,8 @@ class TestMedianHeuristic:
         [
             np.array([0.3, 0.1, 0.2]),
             np.array([1.0, 1.0, 2.0]),
-            # 90 and 91 samples (odd pair counts) fit in one gathered window;
-            # 92 and 93 (even counts) and 94 and 95 (odd) need the search
+            # 90, 91, 94 and 95 samples give odd pair counts (one middle
+            # rank), 92 and 93 even ones (two); every l enters the search loop
             *(np.random.default_rng(20).normal(0.0, 0.04, l) for l in (90, 91, 92, 93, 94, 95)),
             np.random.default_rng(21).normal(0.0, 0.04, 1000),
             np.random.default_rng(22).standard_cauchy(1000),
@@ -379,6 +380,46 @@ class TestTrainMatchesReferenceLoop:
             train(x, params)
         assert exc.value.kkt_violation == ref.value.kkt_violation
         assert str(exc.value) == str(ref.value)
+
+
+def _window_fits():
+    # (samples, params, gamma on the floor, degenerate rho)
+    rng = np.random.default_rng(30)
+    return [
+        pytest.param(rng.normal(0.0, 0.01, 400), OcsvmParams(nu=0.015), True, False, id="nu0.015-floor"),
+        pytest.param(rng.normal(0.0, 1.0, 300), OcsvmParams(nu=0.1), False, False, id="nu0.1"),
+        pytest.param(rng.normal(0.0, 0.5, 300), OcsvmParams(nu=0.5), False, False, id="nu0.5"),
+        pytest.param(rng.normal(0.0, 1.0, 200), OcsvmParams(nu=0.2, gamma=0.77), False, False, id="explicit-gamma"),
+        pytest.param(np.random.default_rng(2).normal(0.0, 0.04, 1000), OcsvmParams(nu=0.5), True, True,
+                     id="degenerate-rho"),
+    ]
+
+
+class TestAcceptanceWindow:
+    @pytest.mark.parametrize("x, params, floored, degenerate", _window_fits())
+    def test_decision_is_negative_outside(self, x, params, floored, degenerate):
+        m = train(x, params)
+        assert (m.gamma == 1.0 / (2.0 * GAMMA_FLOOR_DEG2)) == floored
+        assert m.degenerate_rho == degenerate
+        lo, hi = m.acceptance_window()
+        assert lo <= np.min(m.support_points) <= np.max(m.support_points) <= hi
+        # the ends, and a dense grid beyond each, out to where every kernel
+        # term has underflowed
+        far = np.sqrt(800.0 / m.gamma)
+        beyond = np.r_[0.0, np.geomspace(1e-12, far, 2000), np.linspace(0.0, far, 2000)]
+        for xs in (lo - beyond, hi + beyond):
+            f = m.decision(xs)
+            assert np.all(f <= 0.0)
+            assert np.all(f <= -0.5 * m.rho * (1.0 - 1e-12)), float(np.max(f))
+
+    @pytest.mark.parametrize("rho", [0.0, -0.25])
+    def test_no_window_without_a_positive_offset(self, rho):
+        m = OcsvmModel(np.array([0.0, 1.0]), np.array([0.5, 0.5]), rho, 2.0, 0.5, 2)
+        assert m.acceptance_window() is None
+
+    def test_offset_too_small_for_a_finite_window(self):
+        m = OcsvmModel(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 5e-324, 2.0, 0.5, 2)
+        assert m.acceptance_window() == (-np.inf, np.inf)
 
 
 class TestTrain:
