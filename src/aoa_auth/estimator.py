@@ -44,7 +44,9 @@ _MAX_GRID_BYTES = 1 << 29
 # in whole grid rows (33 at 0.05 deg), for a part's products and costs (24)
 # and index tables (under 8); a block's coarse pass runs first in the products'
 # and costs' memory, 12 bytes a row and node (1.4 MB at 0.05 deg).  A call
-# with a window adds a second keep table and block of rows (256 KiB).
+# with a window adds a second keep table and block of rows (256 KiB) at its
+# first block that both skips rows and searches others; its float64 check of
+# the columns near the window runs in the products' and costs' memory.
 _BLOCK_BYTES = 4 << 20
 # Columns per pruning cell.  OpenBLAS's zgemm (0.3.31, SkylakeX kernel) gives
 # every column of ys @ R[:, a:b] the bits of the full product when a is a
@@ -196,8 +198,17 @@ class ResponseGrid:
         # where a cell can be dropped the best amplitude exceeds eta, so costs
         # that tie differ in amplitude by under 10 T 2^-53 / eta < u.
         tu = 2 * schedule.num_probes * 2.0**-24  # below 0.22 by the grid memory rule
-        eta = np.sqrt(2.0) * tu / (1.0 - tu) + 8 * 2.0**-24
-        self._cell_reach = np.nextafter(np.float32(reach * (1.0 + 1e-9) + 2.0 * eta), np.float32(np.inf))
+        self._eta = np.sqrt(2.0) * tu / (1.0 - tu) + 8 * 2.0**-24
+        self._cell_reach = np.nextafter(np.float32(reach * (1.0 + 1e-9) + 2.0 * self._eta), np.float32(np.inf))
+        # eta also decides a row with no search: let its best float32 node
+        # amplitude be best > 2 eta, and every column j of some set have a
+        # float64 amplitude a_j = |z_j^H y| / (||z_j|| ||y||) below best - 2 eta.
+        # The exact amplitude A is at least best - eta at the best node b, and
+        # at most a_j + d at j, d (a few T 2^-53) far below eta, so the exact
+        # costs ||y||^2 (1 - A^2) differ by ||y||^2 (A_b - A_j)(A_b + A_j) >
+        # ||y||^2 (eta - d)^2, far above their float64 rounding (a few ulps of
+        # ||y||^2): b's dense cost lies below every such column's, and the
+        # dense argmin outside the set.
         # The largest ||y||^2 a frame may have: |z^H y|^2 <= ||z||^2 ||y||^2, so
         # twice the largest gain (at least 1) leaves every cost finite.
         self._max_energy = np.finfo(float).max / (2.0 * max(np.max(norms2), 1.0))
@@ -239,11 +250,12 @@ class ResponseGrid:
 
     def _bounds(self, ys, total, prod, buf, unit):
         """Per-row float32 bounds on |zh^H y| / ||y|| over each cell's
-        stretched columns, 2 eta included (rows x cells), and each row's best
-        node.  Rows are scaled to unit norm, or to 0 when ``total`` is 0 or
-        subnormal, in the complex64 scratch ``unit``; their node products lie
-        in the flat scratch ``prod``, the amplitudes in ``buf``, the bounds
-        in ``prod`` over the spent products."""
+        stretched columns, 2 eta included (rows x cells), each row's best
+        node amplitude and that node's index.  Rows are scaled to unit norm,
+        or to 0 when ``total`` is 0 or subnormal, in the complex64 scratch
+        ``unit``; their node products lie in the flat scratch ``prod``, the
+        amplitudes in ``buf``, the bounds in ``prod`` over the spent
+        products."""
         rows, m = len(ys), self._nodes_h.shape[1]
         scale = np.divide(1.0, np.sqrt(total), out=np.zeros(rows), where=total >= np.finfo(float).tiny)
         yh = np.multiply(ys, scale[:, None], out=unit[:rows], casting="same_kind")
@@ -253,7 +265,8 @@ class ResponseGrid:
         bound = prod.view(np.float32)[: rows * (m - 1)].reshape(rows, m - 1)
         np.maximum(amp[:, :-1], amp[:, 1:], out=bound)
         bound += self._cell_reach
-        return bound, np.max(amp, axis=1)
+        top = np.argmax(amp, axis=1)
+        return bound, amp[np.arange(rows), top], top
 
     def _search(self, ys, keep, total, prod, buf, picked):
         """Refined angles of the rows of ``ys``, of energy ``total``, scoring
@@ -357,6 +370,27 @@ class ResponseGrid:
         theta[inner] = theta[inner] + offset * self.step_deg
         return theta
 
+    def _beaten(self, ys, total, best, cols, prod, buf):
+        """Which rows of ``ys``, of energy ``total`` and best float32 node
+        amplitude ``best`` (above 2 eta), have a float64 amplitude |z^H y| /
+        (||z|| ||y||) below best - 2 eta at every column of the slice
+        ``cols``: by eta's margin (see __init__) their dense argmin lies
+        outside ``cols``.  The products lie in the flat scratch ``prod`` and
+        the squared amplitudes, times ||y||^2, in ``buf``, as many rows at a
+        time as it holds."""
+        m = cols.stop - cols.start
+        limit = np.square(best.astype(float) - 2.0 * self._eta) * total
+        beaten = np.empty(len(ys), dtype=bool)
+        rows = len(buf) // m
+        for a in range(0, len(ys), rows):
+            b = min(a + rows, len(ys))
+            q = buf[: (b - a) * m].reshape(b - a, m)
+            np.abs(np.matmul(ys[a:b], self._responses_h[:, cols], out=prod[: (b - a) * m].reshape(b - a, m)), out=q)
+            np.square(q, out=q)
+            q /= self._slot_norms2.ravel()[cols]
+            np.less(np.max(q, axis=1), limit[a:b], out=beaten[a:b])
+        return beaten
+
     def estimate(self, y: np.ndarray) -> AoaEstimate:
         """The :meth:`estimate_batch` angle of one frame, with the exact
         cost at that angle under the least-squares gain."""
@@ -391,11 +425,15 @@ class ResponseGrid:
         argmin's neighbours are the dense ones.  Rows are bounded a block at
         a time, then scored in parts of whole rows whose kept cells fit.
 
-        With a window ``within`` = (lo, hi) in degrees, a row whose own kept
-        cells hold no column within one grid step of the window is NaN and
-        is not searched: its argmin lies in a kept cell and the refinement
-        moves it by at most half a step, so its angle lies outside the
-        window.  Every other row has the bits it has without a window.
+        With a window ``within`` = (lo, hi) in degrees, the near slots are
+        those holding a column within one grid step of the window.  A row is
+        NaN and is not searched when its own kept cells hold none of them,
+        or when its best node lies outside the nodes that bound them and
+        every near column's float64 amplitude falls below that node's by
+        more than 2 eta (see :meth:`_beaten`).  Either way its dense argmin
+        lies outside the near slots and the refinement moves it by at most
+        half a step, so its angle lies outside the window.  Every other row
+        has the bits it has without a window.
         """
         n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._cell_reach)
         total = self._energy(ys)
@@ -409,29 +447,40 @@ class ResponseGrid:
         unit = np.empty((len(keep), ys.shape[1]), dtype=np.complex64)
         out = np.empty(n)
         if within is not None:
-            # the slots holding a column within one step of the window, and
-            # scratch for a block's rows that keep any of them
+            # the near slots and their columns; scratch for a block's rows
+            # that are searched is made at the first block that skips others
             step = self.step_deg
             j0 = int(np.searchsorted(self.angles_deg, within[0] - step))
             j1 = int(np.searchsorted(self.angles_deg, within[1] + step, side="right"))
             near = slice(j0 // w, -(-j1 // w)) if j0 < j1 else slice(0, 0)
-            live_keep, live_ys = np.empty_like(keep), np.empty_like(picked[: len(keep)])
+            cols = slice(near.start * w, min(near.stop * w, len(self.angles_deg)))
+            spare = None
         for lo in range(0, n, block):
             rows = min(n - lo, block)
             kept, part, part_total = keep[:rows], ys[lo : lo + rows], total[lo : lo + rows]
-            bound, best = self._bounds(part, part_total, prod, buf, unit)
+            bound, best, top = self._bounds(part, part_total, prod, buf, unit)
             np.greater_equal(bound, best[:, None], out=kept[:, :cells])
             # slots past the last cell follow it
             kept[:, cells:] = kept[:, cells - 1 : cells]
             at = np.arange(lo, lo + rows)
             if within is not None:
                 live = np.any(kept[:, near], axis=1)
+                # live rows whose best node lies away from the nodes that bound
+                # the near slots are NaN too when every near column loses to it
+                check = np.flatnonzero(live & ((top < near.start) | (top > near.stop)) & (best > 2.0 * self._eta))
+                if len(check):
+                    checked = np.take(part, check, axis=0, out=picked[: len(check)], mode="clip")
+                    live[check[self._beaten(checked, part_total[check], best[check], cols, prod, buf)]] = False
                 out[at[~live]] = np.nan
                 if not live.all():
                     idx = np.flatnonzero(live)
+                    if not len(idx):
+                        continue
+                    if spare is None:
+                        spare = np.empty_like(keep), np.empty_like(picked[: len(keep)])
                     at, rows = at[idx], len(idx)
-                    kept = np.take(kept, idx, axis=0, out=live_keep[:rows], mode="clip")
-                    part = np.take(part, idx, axis=0, out=live_ys[:rows], mode="clip")
+                    kept = np.take(kept, idx, axis=0, out=spare[0][:rows], mode="clip")
+                    part = np.take(part, idx, axis=0, out=spare[1][:rows], mode="clip")
                     part_total = part_total[idx]
             union = np.any(kept, axis=0)
             if rows * np.count_nonzero(union) <= _UNION_SCORE * np.count_nonzero(kept):

@@ -689,6 +689,57 @@ def _within_frames(setup, grid, seed):
     return rng.permutation(np.concatenate(groups))
 
 
+def _bound_decided(grid, ys, within):
+    # the rows whose own kept cells hold no column within one grid step of
+    # the window, which the bound alone decides
+    bound, best = _bounds(grid, ys)
+    kept = bound >= best[:, None]
+    step, angles = grid.step_deg, grid.angles_deg
+    cols = np.flatnonzero((angles >= within[0] - step) & (angles <= within[1] + step))
+    return ~np.any(kept[:, np.minimum(cols // _CELL_COLUMNS, kept.shape[1] - 1)], axis=1)
+
+
+def _near_tie_frames(grid, count, seed):
+    # frames zh_a + c e^{i phi} zh_b whose two lobes peak, in exact amplitude
+    # |zh^H y| / ||y||, at a column p about a and at a node q about b, q's
+    # peak above p's by a margin from -3 eta to 3 eta (two in three below 0,
+    # most within eta / 10 of 0): b moves until q is a node, and Newton
+    # steps set c.  Each frame comes with a window about p's angle, whose
+    # near slots hold p and lie far from q.
+    rng = np.random.default_rng(seed)
+    zh = _responses(grid) / np.sqrt(_norms2(grid))[:, None]
+    g, lobe, w = len(grid.angles_deg), 100, _CELL_COLUMNS
+    tu = 2 * grid.schedule.num_probes * 2.0**-24
+    eta = np.sqrt(2.0) * tu / (1.0 - tu) + 8 * 2.0**-24
+    frames, windows = [], []
+    while len(frames) < count:
+        a, b = rng.integers(lobe, g - lobe, 2)
+        margin = eta * rng.choice([-1.0, -1.0, 1.0]) * 10 ** rng.uniform(-3.0, 0.5)
+        phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+
+        def peaks(c):
+            y = zh[a] + c * phase * zh[b]
+            amp = np.abs(zh.conj() @ y) / np.linalg.norm(y)
+            p, q = (k - lobe + np.argmax(amp[k - lobe : k + lobe]) for k in (a, b))
+            return amp[q] - amp[p], y, p, q
+
+        c = 1.0
+        for _ in range(20):
+            if not (lobe <= b < g - lobe and abs(a - b) > 6 * lobe):
+                break
+            gap, y, p, q = peaks(c)
+            if q % w:
+                b += w * round(q / w) - q
+            elif abs(gap - margin) > 1e-3 * eta:
+                c -= (gap - margin) * 1e-4 / (peaks(c + 1e-4)[0] - gap)
+            else:
+                if p % w:
+                    frames.append(y)
+                    windows.append((grid.angles_deg[p] - 0.01, grid.angles_deg[p] + 0.01))
+                break
+    return np.array(frames), windows
+
+
 class TestEstimateWithinWindow:
     # with a window, a row is NaN only where the plain search's angle cannot
     # lie in it; every other row keeps its plain bits
@@ -712,8 +763,9 @@ class TestEstimateWithinWindow:
         return np.count_nonzero(dead)
 
     # the auth-lba verifier's window, one about a signal angle, windows
-    # touching +-90 deg, one past the grid's end
-    WINDOWS = [(-0.078, 0.078), (29.5, 30.5), (85.0, 90.0), (-90.0, -87.0), (89.99, 95.0), (-95.0, -89.97)]
+    # touching +-90 deg, one past the grid's end, and one over a third of the
+    # grid, whose near columns the float64 check scores a few rows at a time
+    WINDOWS = [(-0.078, 0.078), (29.5, 30.5), (85.0, 90.0), (-90.0, -87.0), (89.99, 95.0), (-95.0, -89.97), (-60.0, 0.0)]
 
     @pytest.mark.parametrize("step", [0.05, 1.0])
     def test_rows_are_plain_or_outside_the_window(self, setup, step):
@@ -730,6 +782,41 @@ class TestEstimateWithinWindow:
         # every window decides some frames at 0.05 deg; at 1 deg a cell
         # spans 16 deg, so a narrow window may leave every frame searched
         assert max(dead) < len(ys) and (min(dead) if step == 0.05 else max(dead)) > 0, dead
+
+    def test_near_cells_that_lose_to_a_far_best_node(self, setup):
+        # noise-only frames and signals at 300 m whose bounds keep cells near
+        # the window but whose best node lies far from it: the float64
+        # amplitudes of the near columns decide some rows that the bound
+        # alone leaves to the search, and every row the bound decides stays NaN
+        sched, pilots, cfg = setup
+        grid = ResponseGrid(sched, pilots)
+        rng = np.random.default_rng(43)
+        sigma2 = noise_variance(cfg)
+        groups = [synthesize_observation(np.zeros(17, dtype=complex), sigma2, 300, rng)]
+        for theta in rng.uniform(-60.0, 60.0, 20):
+            signal = received_signal(sched, NodeGeometry(300.0, theta), pilots, cfg)
+            groups.append(synthesize_observation(signal, sigma2, 20, rng))
+        ys = rng.permutation(np.concatenate(groups))
+        assert len(ys) > grid.block_rows
+        for within in self.WINDOWS[:2]:
+            self.check(grid, ys, within)
+            dead, early = np.isnan(grid.estimate_batch(ys, within)), _bound_decided(grid, ys, within)
+            assert np.all(dead[early]) and np.count_nonzero(dead & ~early) > 0, within
+
+    def test_near_ties_between_a_near_column_and_a_far_node(self, setup):
+        # frames whose near lobe and far best node peak within 3 eta of each
+        # other: the float32 best node may overstate its exact amplitude by
+        # up to eta, so without the 2 eta margin the check would decide rows
+        # whose argmin lies in the window.  Ties fall both ways: some rows
+        # are decided, and some have their angle in the window.
+        grid = ResponseGrid(*setup[:2])
+        ys, windows = _near_tie_frames(grid, 90, 3)
+        plain = grid.estimate_batch(ys)
+        dead = inside = 0
+        for y, theta, (lo, hi) in zip(ys, plain, windows):
+            dead += self.check(grid, y[None], (lo, hi))
+            inside += lo - grid.step_deg / 2 <= theta <= hi + grid.step_deg / 2
+        assert dead > 0 and inside > 0, (dead, inside)
 
     @pytest.mark.parametrize("within", [(-90.0, 90.0), (-np.inf, np.inf)])
     def test_window_over_the_whole_grid_leaves_no_nan(self, setup, within):
@@ -750,12 +837,12 @@ def _nodes(g):
 
 
 def _bounds(grid, ys):
-    # the per-row float32 cell bounds and best nodes of the coarse pass,
-    # relative to ||y||, for rows of energy ||y||^2, in scratch of its own
+    # the per-row float32 cell bounds and best node amplitudes of the coarse
+    # pass, relative to ||y||, for rows of energy ||y||^2, in scratch of its own
     g = len(grid.angles_deg)
     total = np.sum(np.abs(ys) ** 2, axis=1)
     scratch = np.empty(len(ys) * g, dtype=complex), np.empty(len(ys) * g), np.empty(ys.shape, dtype=np.complex64)
-    return grid._bounds(ys, total, *scratch)
+    return grid._bounds(ys, total, *scratch)[:2]
 
 
 def _two_tone_frames(grid, u_peaks):
@@ -934,8 +1021,9 @@ def test_estimate_batch_scratch_stays_within_budget(setup, step):
     # frames (all-zero rows keep every cell) take at most 4.5 MiB at the
     # peak, 512 of them at the default step and more than two blocks at
     # the coarse step, whose blocks hold more rows, and so do 3,000
-    # noise-only frames (several blocks) at the default step, with or
-    # without a window
+    # noise-only frames (several blocks) at the default step, with no
+    # window, the auth-lba verifier's or one over half the grid, whose
+    # float64 check scores thousands of near columns
     sched, pilots, cfg = setup
     grid = ResponseGrid(sched, pilots, step)
     n = 512 if step == 0.05 else 2 * grid.block_rows + 1
@@ -949,7 +1037,7 @@ def test_estimate_batch_scratch_stays_within_budget(setup, step):
     if step == 0.05:
         batches.append(synthesize_observation(0.0 * signal, noise_variance(cfg), 3000, rng))
     for ys in batches:
-        for within in (None, (-0.078, 0.078)):
+        for within in (None, (-0.078, 0.078), (-90.0, 0.0)):
             tracemalloc.start()
             try:
                 grid.estimate_batch(ys, within)
