@@ -44,9 +44,10 @@ _MAX_GRID_BYTES = 1 << 29
 # in whole grid rows (33 at 0.05 deg), for a part's products and costs (24)
 # and index tables (under 8); a block's coarse pass runs first in the products'
 # and costs' memory, 12 bytes a row and node (1.4 MB at 0.05 deg).  A call
-# with a window adds a second keep table and block of rows (256 KiB) at its
-# first block that both skips rows and searches others; its float64 check of
-# the columns near the window runs in the products' and costs' memory.
+# with a window holds its near columns, 8 bytes a column and probe, and runs
+# their float32 product in the products' and costs' memory; it adds a second
+# keep table and block of rows (256 KiB) at its first block that both skips
+# rows and searches others.
 _BLOCK_BYTES = 4 << 20
 # Columns per pruning cell.  OpenBLAS's zgemm (0.3.31, SkylakeX kernel) gives
 # every column of ys @ R[:, a:b] the bits of the full product when a is a
@@ -200,14 +201,14 @@ class ResponseGrid:
         tu = 2 * schedule.num_probes * 2.0**-24  # below 0.22 by the grid memory rule
         self._eta = np.sqrt(2.0) * tu / (1.0 - tu) + 8 * 2.0**-24
         self._cell_reach = np.nextafter(np.float32(reach * (1.0 + 1e-9) + 2.0 * self._eta), np.float32(np.inf))
-        # eta also decides a row with no search: let its best float32 node
-        # amplitude be best > 2 eta, and every column j of some set have a
-        # float64 amplitude a_j = |z_j^H y| / (||z_j|| ||y||) below best - 2 eta.
-        # The exact amplitude A is at least best - eta at the best node b, and
-        # at most a_j + d at j, d (a few T 2^-53) far below eta, so the exact
-        # costs ||y||^2 (1 - A^2) differ by ||y||^2 (A_b - A_j)(A_b + A_j) >
-        # ||y||^2 (eta - d)^2, far above their float64 rounding (a few ulps of
-        # ||y||^2): b's dense cost lies below every such column's, and the
+        # eta also decides a row with no search, from float32 amplitudes of
+        # unit columns as the nodes': let its best node amplitude best exceed
+        # every amplitude a_j of a set of columns by more than 3 eta.  Each
+        # lies within eta of its exact value, so the exact amplitude A_b at
+        # the best node b is above A_j + eta, and above 2 eta as a_j >= 0; the
+        # exact costs ||y||^2 (1 - A^2) differ by ||y||^2 (A_b - A_j)(A_b +
+        # A_j) > ||y||^2 eta^2, far above their float64 rounding (a few ulps
+        # of ||y||^2): b's dense cost lies below every such column's, and the
         # dense argmin outside the set.
         # The largest ||y||^2 a frame may have: |z^H y|^2 <= ||z||^2 ||y||^2, so
         # twice the largest gain (at least 1) leaves every cost finite.
@@ -250,12 +251,11 @@ class ResponseGrid:
 
     def _bounds(self, ys, total, prod, buf, unit):
         """Per-row float32 bounds on |zh^H y| / ||y|| over each cell's
-        stretched columns, 2 eta included (rows x cells), each row's best
-        node amplitude and that node's index.  Rows are scaled to unit norm,
-        or to 0 when ``total`` is 0 or subnormal, in the complex64 scratch
-        ``unit``; their node products lie in the flat scratch ``prod``, the
-        amplitudes in ``buf``, the bounds in ``prod`` over the spent
-        products."""
+        stretched columns, 2 eta included (rows x cells), and each row's best
+        node amplitude.  Rows are scaled to unit norm, or to 0 when ``total``
+        is 0 or subnormal, in the complex64 scratch ``unit``; their node
+        products lie in the flat scratch ``prod``, the amplitudes in ``buf``,
+        the bounds in ``prod`` over the spent products."""
         rows, m = len(ys), self._nodes_h.shape[1]
         scale = np.divide(1.0, np.sqrt(total), out=np.zeros(rows), where=total >= np.finfo(float).tiny)
         yh = np.multiply(ys, scale[:, None], out=unit[:rows], casting="same_kind")
@@ -265,8 +265,7 @@ class ResponseGrid:
         bound = prod.view(np.float32)[: rows * (m - 1)].reshape(rows, m - 1)
         np.maximum(amp[:, :-1], amp[:, 1:], out=bound)
         bound += self._cell_reach
-        top = np.argmax(amp, axis=1)
-        return bound, amp[np.arange(rows), top], top
+        return bound, np.max(amp, axis=1)
 
     def _search(self, ys, keep, total, prod, buf, picked):
         """Refined angles of the rows of ``ys``, of energy ``total``, scoring
@@ -370,26 +369,23 @@ class ResponseGrid:
         theta[inner] = theta[inner] + offset * self.step_deg
         return theta
 
-    def _beaten(self, ys, total, best, cols, prod, buf):
-        """Which rows of ``ys``, of energy ``total`` and best float32 node
-        amplitude ``best`` (above 2 eta), have a float64 amplitude |z^H y| /
-        (||z|| ||y||) below best - 2 eta at every column of the slice
-        ``cols``: by eta's margin (see __init__) their dense argmin lies
-        outside ``cols``.  The products lie in the flat scratch ``prod`` and
-        the squared amplitudes, times ||y||^2, in ``buf``, as many rows at a
-        time as it holds."""
-        m = cols.stop - cols.start
-        limit = np.square(best.astype(float) - 2.0 * self._eta) * total
-        beaten = np.empty(len(ys), dtype=bool)
-        rows = len(buf) // m
-        for a in range(0, len(ys), rows):
-            b = min(a + rows, len(ys))
-            q = buf[: (b - a) * m].reshape(b - a, m)
-            np.abs(np.matmul(ys[a:b], self._responses_h[:, cols], out=prod[: (b - a) * m].reshape(b - a, m)), out=q)
-            np.square(q, out=q)
-            q /= self._slot_norms2.ravel()[cols]
-            np.less(np.max(q, axis=1), limit[a:b], out=beaten[a:b])
-        return beaten
+    def _live(self, unit, best, near_h, prod, buf):
+        """Which of the unit rows ``unit``, of best float32 node amplitude
+        ``best``, have a float32 amplitude at some unit column of ``near_h``
+        within 3 eta of ``best``: by eta's margin (see __init__) every other
+        row's dense argmin lies outside those columns.  The products lie in
+        the flat scratch ``prod`` and the amplitudes in ``buf``, as many rows
+        at a time as they hold."""
+        m = near_h.shape[1]
+        limit = best.astype(float) - 3.0 * self._eta
+        live = np.empty(len(unit), dtype=bool)
+        rows = 2 * len(buf) // m
+        for a in range(0, len(unit), rows):
+            b = min(a + rows, len(unit))
+            amp = buf.view(np.float32)[: (b - a) * m].reshape(b - a, m)
+            np.abs(np.matmul(unit[a:b], near_h, out=prod.view(np.complex64)[: (b - a) * m].reshape(b - a, m)), out=amp)
+            np.greater_equal(np.max(amp, axis=1), limit[a:b], out=live[a:b])
+        return live
 
     def estimate(self, y: np.ndarray) -> AoaEstimate:
         """The :meth:`estimate_batch` angle of one frame, with the exact
@@ -425,18 +421,26 @@ class ResponseGrid:
         argmin's neighbours are the dense ones.  Rows are bounded a block at
         a time, then scored in parts of whole rows whose kept cells fit.
 
-        With a window ``within`` = (lo, hi) in degrees, the near slots are
-        those holding a column within one grid step of the window.  A row is
-        NaN and is not searched when its own kept cells hold none of them,
-        or when its best node lies outside the nodes that bound them and
-        every near column's float64 amplitude falls below that node's by
-        more than 2 eta (see :meth:`_beaten`).  Either way its dense argmin
-        lies outside the near slots and the refinement moves it by at most
-        half a step, so its angle lies outside the window.  Every other row
-        has the bits it has without a window.
+        With a window ``within`` = (lo, hi) in degrees, the near columns are
+        those within one grid step of it.  A row is NaN and is not searched
+        when every near column's float32 amplitude falls below its best
+        node's by more than 3 eta (see :meth:`_live`): its dense argmin lies
+        outside the near columns and the refinement moves it by at most half
+        a step, so its angle lies outside the window.  Every other row has
+        the bits it has without a window.
         """
         n, (slots, w), cells = len(ys), self._slot_norms2.shape, len(self._cell_reach)
         total = self._energy(ys)
+        if within is not None:
+            # the near columns at unit norm; scratch for a block's rows that
+            # are searched is made at the first block that skips others
+            step = self.step_deg
+            j0 = int(np.searchsorted(self.angles_deg, within[0] - step))
+            j1 = int(np.searchsorted(self.angles_deg, within[1] + step, side="right"))
+            if j0 >= j1:
+                return np.full(n, np.nan)
+            near_h = (self._responses_h[:, j0:j1] / np.sqrt(self._slot_norms2.ravel()[j0:j1])).astype(np.complex64)
+            spare = None
         # Scratch for the products and costs of ``budget`` kept entries,
         # which first holds a block's bounds
         budget, block = self._block_shape(ys.itemsize)
@@ -446,31 +450,16 @@ class ResponseGrid:
         picked = np.empty((max(2, len(keep)), ys.shape[1]), dtype=ys.dtype)
         unit = np.empty((len(keep), ys.shape[1]), dtype=np.complex64)
         out = np.empty(n)
-        if within is not None:
-            # the near slots and their columns; scratch for a block's rows
-            # that are searched is made at the first block that skips others
-            step = self.step_deg
-            j0 = int(np.searchsorted(self.angles_deg, within[0] - step))
-            j1 = int(np.searchsorted(self.angles_deg, within[1] + step, side="right"))
-            near = slice(j0 // w, -(-j1 // w)) if j0 < j1 else slice(0, 0)
-            cols = slice(near.start * w, min(near.stop * w, len(self.angles_deg)))
-            spare = None
         for lo in range(0, n, block):
             rows = min(n - lo, block)
             kept, part, part_total = keep[:rows], ys[lo : lo + rows], total[lo : lo + rows]
-            bound, best, top = self._bounds(part, part_total, prod, buf, unit)
+            bound, best = self._bounds(part, part_total, prod, buf, unit)
             np.greater_equal(bound, best[:, None], out=kept[:, :cells])
             # slots past the last cell follow it
             kept[:, cells:] = kept[:, cells - 1 : cells]
             at = np.arange(lo, lo + rows)
             if within is not None:
-                live = np.any(kept[:, near], axis=1)
-                # live rows whose best node lies away from the nodes that bound
-                # the near slots are NaN too when every near column loses to it
-                check = np.flatnonzero(live & ((top < near.start) | (top > near.stop)) & (best > 2.0 * self._eta))
-                if len(check):
-                    checked = np.take(part, check, axis=0, out=picked[: len(check)], mode="clip")
-                    live[check[self._beaten(checked, part_total[check], best[check], cols, prod, buf)]] = False
+                live = self._live(unit[:rows], best, near_h, prod, buf)
                 out[at[~live]] = np.nan
                 if not live.all():
                     idx = np.flatnonzero(live)

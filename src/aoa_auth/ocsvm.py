@@ -71,7 +71,9 @@ def kernel(x, y, gamma: float):
     if isinstance(gamma, bool) or not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return np.exp(-gamma * d * d)
+    # a huge gamma overflows -gamma * d * d to -inf, whose exp, 0, is exact
+    with np.errstate(over="ignore"):
+        return np.exp(-gamma * d * d)
 
 
 def median_heuristic_gamma(samples: np.ndarray, floor_deg2: float) -> float:
@@ -239,6 +241,9 @@ class OcsvmModel:
         return float(np.min(self.support_points)) - reach, float(np.max(self.support_points)) + reach
 
 
+# a huge gamma overflows -gamma * d * d in the kernel rows to -inf, as in
+# kernel, and exp gives the exact 0
+@np.errstate(over="ignore")
 def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
     """Fit the nu-one-class SVM dual by SMO and set rho from margin support
     vectors."""
@@ -347,7 +352,10 @@ def train(samples, params: OcsvmParams = OcsvmParams()) -> OcsvmModel:
 
     # rho: mean gradient over margin SVs; for all-at-bound solutions fall back
     # to the midpoint over support vectors and flag the model
-    bound_eps = 1e-9 * c
+    # the weights sum to 1, so the largest is at least 1 / l: a threshold of
+    # at most 0.5 / l keeps a support vector at any nu (1e-9 c is the smaller
+    # for nu >= 2e-9)
+    bound_eps = min(1e-9 * c, 0.5 / l)
     margin = (alpha > bound_eps) & (alpha < c - bound_eps)
     degenerate = not np.any(margin)
     if degenerate:

@@ -392,23 +392,35 @@ class TestEstimateBatchBlocking:
         for call in (grid.estimate, lambda y: grid.estimate_batch(y[None, :]), lambda y: grid.costs_batch(y[None, :])):
             with pytest.raises(ValueError, match=r"frame 0 is not finite"):
                 call(y)
+        # a window, even one past the grid that leaves every frame NaN, does
+        # not lift the rule
         for row in (0, 3, 530, 599):
             ys = _frames(grid, 600, seed=52)
             ys[row, 7] = ys[599, 2] = bad
-            for score in (grid.estimate_batch, grid.costs_batch):
+            for score in (
+                grid.estimate_batch,
+                grid.costs_batch,
+                lambda ys: grid.estimate_batch(ys, (95.0, 100.0)),
+                lambda ys: grid.estimate_batch(ys, (-0.078, 0.078)),
+            ):
                 with pytest.raises(ValueError, match=rf"frame {row} is not finite"):
                     score(ys)
 
     def test_rejects_frames_whose_products_overflow(self, grid):
         # energy 1.69e308 along the 0 deg column is finite, but |z^H y|^2
         # there is ||z||^2 = 67.5 times that; both scorers refuse the frame,
-        # alone or as row 4 of a batch
+        # alone or as row 4 of a batch, with or without a window
         y = _responses(grid)[1800]
         y = y * (np.sqrt(1.69e308) / np.linalg.norm(y))
         assert np.isfinite(np.sum(np.abs(y) ** 2))
         ys = _frames(grid, 6, seed=53)
         ys[4] = y
-        for score in (grid.costs_batch, grid.estimate_batch):
+        for score in (
+            grid.costs_batch,
+            grid.estimate_batch,
+            lambda ys: grid.estimate_batch(ys, (95.0, 100.0)),
+            lambda ys: grid.estimate_batch(ys, (-0.078, 0.078)),
+        ):
             with pytest.raises(ValueError, match=r"frame 0 is not finite or too large"):
                 score(y[None])
             with pytest.raises(ValueError, match=r"frame 4 is not finite or too large"):
@@ -705,7 +717,7 @@ def _near_tie_frames(grid, count, seed):
     # peak above p's by a margin from -3 eta to 3 eta (two in three below 0,
     # most within eta / 10 of 0): b moves until q is a node, and Newton
     # steps set c.  Each frame comes with a window about p's angle, whose
-    # near slots hold p and lie far from q.
+    # near columns hold p and lie far from q.
     rng = np.random.default_rng(seed)
     zh = _responses(grid) / np.sqrt(_norms2(grid))[:, None]
     g, lobe, w = len(grid.angles_deg), 100, _CELL_COLUMNS
@@ -764,7 +776,7 @@ class TestEstimateWithinWindow:
 
     # the auth-lba verifier's window, one about a signal angle, windows
     # touching +-90 deg, one past the grid's end, and one over a third of the
-    # grid, whose near columns the float64 check scores a few rows at a time
+    # grid, whose near columns' float32 product takes a few rows at a time
     WINDOWS = [(-0.078, 0.078), (29.5, 30.5), (85.0, 90.0), (-90.0, -87.0), (89.99, 95.0), (-95.0, -89.97), (-60.0, 0.0)]
 
     @pytest.mark.parametrize("step", [0.05, 1.0])
@@ -785,7 +797,7 @@ class TestEstimateWithinWindow:
 
     def test_near_cells_that_lose_to_a_far_best_node(self, setup):
         # noise-only frames and signals at 300 m whose bounds keep cells near
-        # the window but whose best node lies far from it: the float64
+        # the window but whose best node lies far from it: the float32
         # amplitudes of the near columns decide some rows that the bound
         # alone leaves to the search, and every row the bound decides stays NaN
         sched, pilots, cfg = setup
@@ -805,10 +817,10 @@ class TestEstimateWithinWindow:
 
     def test_near_ties_between_a_near_column_and_a_far_node(self, setup):
         # frames whose near lobe and far best node peak within 3 eta of each
-        # other: the float32 best node may overstate its exact amplitude by
-        # up to eta, so without the 2 eta margin the check would decide rows
-        # whose argmin lies in the window.  Ties fall both ways: some rows
-        # are decided, and some have their angle in the window.
+        # other: the float32 best node and near columns may each miss their
+        # exact amplitudes by up to eta, so without the 3 eta margin the rule
+        # would decide rows whose argmin lies in the window.  Ties fall both
+        # ways: some rows are decided, and some have their angle in the window.
         grid = ResponseGrid(*setup[:2])
         ys, windows = _near_tie_frames(grid, 90, 3)
         plain = grid.estimate_batch(ys)
@@ -1023,7 +1035,7 @@ def test_estimate_batch_scratch_stays_within_budget(setup, step):
     # the coarse step, whose blocks hold more rows, and so do 3,000
     # noise-only frames (several blocks) at the default step, with no
     # window, the auth-lba verifier's or one over half the grid, whose
-    # float64 check scores thousands of near columns
+    # float32 product takes thousands of near columns
     sched, pilots, cfg = setup
     grid = ResponseGrid(sched, pilots, step)
     n = 512 if step == 0.05 else 2 * grid.block_rows + 1

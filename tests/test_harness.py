@@ -372,6 +372,20 @@ class TestAuthSweep:
         assert far["accuracy"] > near["accuracy"]
 
 
+class TestExtremeOcsvmSettings:
+    # tiny sweeps whose verifier settings validate and once failed at run time
+
+    def test_huge_gamma(self):
+        # Alice at 1,000 m spreads the training estimates over degrees, so
+        # -gamma * d * d overflows in train's kernel rows and in decision
+        rows = run_auth_sweep(small_scenario(attack="code-based", gamma=1.7e308, alice_distance_m=1000.0, train_size=20, test_size=20, repetitions=1))
+        assert len(rows) == 2 and all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
+
+    def test_tiny_nu(self):
+        rows = run_auth_sweep(small_scenario(nu=1e-20, train_size=20, test_size=20, repetitions=1))
+        assert len(rows) == 2 and all(0.0 <= r["accuracy"] <= 1.0 for r in rows)
+
+
 class TestAuthTestFramesDecidedFromTheBound:
     @pytest.mark.parametrize("seed", [7, 20240])
     @pytest.mark.parametrize("attack", ["none", "random", "code-based", "location-based"])

@@ -53,6 +53,11 @@ class TestKernel:
         k = kernel(x[:, None], x[None, :], 0.37)
         assert np.array_equal(k, k.T)
 
+    def test_huge_gamma_gives_zero_without_overflow_warning(self):
+        # -gamma * d * d overflows to -inf, and exp(-inf) = 0 is the exact
+        # value; the test run turns a RuntimeWarning into an error
+        assert kernel(0.0, 2.0, 1.7e308) == 0.0
+
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ValueError):
             kernel(0.0, 1.0, 0.0)
@@ -506,6 +511,18 @@ class TestTrain:
         with pytest.raises(OcsvmConvergenceError) as exc:
             train(x, OcsvmParams(nu=0.5, solver_tol=1e-14, max_iters=3))
         assert exc.value.kkt_violation > 0.0
+
+    @pytest.mark.parametrize("nu", [1e-20, 1e-100, 1e-300])
+    def test_tiny_nu_keeps_support_vectors(self, nu):
+        # 1e-9 c exceeded every weight below nu = 2e-9, which left no support
+        # vector to set rho from; the largest weight is at least 1 / l, above
+        # the threshold 0.5 / l.  The box never binds at such nu, so every
+        # such fit takes the same steps.
+        x = np.random.default_rng(18).normal(0.0, 1.0, 20)
+        m, ref = train(x, OcsvmParams(nu=nu)), train(x, OcsvmParams(nu=1e-20))
+        assert len(m.support_points) > 0 and np.isfinite(m.rho)
+        assert np.array_equal(m.support_points, ref.support_points) and np.array_equal(m.alphas, ref.alphas)
+        assert m.rho == ref.rho
 
     def test_rejects_tiny_training_set(self):
         with pytest.raises(ValueError):
